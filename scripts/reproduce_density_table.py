@@ -11,7 +11,7 @@ import argparse
 import sys
 import time
 
-from padicsmith.density import Convention, enumerate_density
+from padicsmith.density import CSV_HEADER, Convention, enumerate_density
 
 CELLS = [
     (2, 1, 2),
@@ -44,7 +44,7 @@ def main(argv=None):
     convention = Convention(args.convention)
 
     if args.csv:
-        print("p,m,n,pct_char,pct_corr,min_pct_char,total,char_count,corr_count")
+        print(CSV_HEADER)
     else:
         print(f"{'p':>3} {'m':>2} {'n':>2} {'char%':>8} {'corr%':>8} {'min char%':>10} {'matrices':>10}")
 

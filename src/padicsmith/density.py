@@ -1,15 +1,28 @@
 """Exhaustive densities of the two predicates over residue matrices.
 
 For a prime power p^m and dimension n, every matrix with entries in
-[0, p^m) is classified and counted.  Two denominators are offered:
-ALL counts against the full space (the convention the reported density
-table actually uses), DET_FILTERED restricts to matrices whose
-determinant has valuation below m (the convention its caption suggests).
-The partition map splits the whole space by Smith form localized at p,
-keyed by the diagonal (p^e_1, ..., p^e_r, 0, ..., 0); singular classes
-and classes with sum(e) >= m are real classes here.  The reported
-minimum characterized percentage ranges over every class that contains
-at least one characterized matrix.
+[0, p^m) is counted.  Two denominators are offered: ALL counts against
+the full space (the convention the reported density table actually
+uses), DET_FILTERED restricts to matrices whose determinant has
+valuation below m (the convention its caption suggests).  The partition
+map splits the whole space by Smith form localized at p, keyed by the
+diagonal (p^e_1, ..., p^e_r, 0, ..., 0); singular classes and classes
+with sum(e) >= m are real classes here.  The reported minimum
+characterized percentage ranges over every class that contains at least
+one characterized matrix.
+
+The count is exact, but most matrices are not classified themselves:
+each is counted through a representative with a sorted diagonal.
+Permutation similarity P A P^T keeps every entry in [0, p^m) and
+preserves the characteristic polynomial and the Smith form, so both
+predicates, the determinant filter and the partition key are constant
+on its orbits.  For a fixed arrangement of a diagonal, one such
+similarity maps the matrices with that diagonal one-to-one onto the
+matrices with the sorted diagonal.  So the walk classifies only the
+representatives whose diagonal is non-decreasing, with the off-diagonal
+entries over the full box, and counts each with weight
+n!/prod(multiplicity!) of its diagonal values: the number of
+arrangements it stands for.
 
 The per-matrix classifier here is a specialized fast path (direct minor
 valuations, hand-rolled charpolys for n <= 4); its agreement with the
@@ -23,8 +36,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from itertools import combinations
-from math import prod
+from itertools import combinations, combinations_with_replacement, islice, product, repeat
+from math import comb, factorial, prod
 
 from .classify import analyze
 from .exact import BudgetExceededError, IntMatrix, _det_rows, _require_prime
@@ -429,6 +442,25 @@ class _Tally:
     corr_filtered: int = 0
     partitions: dict = field(default_factory=dict)
 
+    def add_outcomes(self, outcomes: Counter, weight: int) -> None:
+        """Count classifier outcomes, each standing for weight matrices."""
+        for (char, corr, key, in_filter), count in outcomes.items():
+            w = weight * count
+            self.total += w
+            cell = self.partitions.setdefault(key, [0, 0])
+            cell[0] += w
+            if char:
+                self.char_all += w
+                cell[1] += w
+            if corr:
+                self.corr_all += w
+            if in_filter:
+                self.filtered += w
+                if char:
+                    self.char_filtered += w
+                if corr:
+                    self.corr_filtered += w
+
     def merge(self, other: "_Tally") -> None:
         self.total += other.total
         self.char_all += other.char_all
@@ -437,69 +469,59 @@ class _Tally:
         self.char_filtered += other.char_filtered
         self.corr_filtered += other.corr_filtered
         for key, (size, char) in other.partitions.items():
-            if key in self.partitions:
-                cell = self.partitions[key]
-                cell[0] += size
-                cell[1] += char
-            else:
-                self.partitions[key] = [size, char]
+            cell = self.partitions.setdefault(key, [0, 0])
+            cell[0] += size
+            cell[1] += char
 
 
-def _decode_index(index: int, q: int, n: int) -> list[list[int]]:
-    # row-major, first entry most significant
-    digits = []
-    for _ in range(n * n):
-        index, rem = divmod(index, q)
-        digits.append(rem)
-    digits.reverse()
-    return [digits[i * n : (i + 1) * n] for i in range(n)]
+def _arrangements(diag: tuple[int, ...]) -> int:
+    """Number of distinct orderings of a diagonal: n! / prod(multiplicity!)."""
+    return factorial(len(diag)) // prod(factorial(c) for c in Counter(diag).values())
+
+
+def _representative_count(q: int, n: int) -> int:
+    """Size of the flat representative index: sorted diagonals x off-diagonal fills."""
+    return comb(q + n - 1, n) * q ** (n * n - n)
 
 
 def _tally_range(args: tuple[int, int, int, int, int]) -> _Tally:
-    """Classify the row-major index range [lo, hi) of the residue space."""
+    """Classify the representatives with flat index in [lo, hi).
+
+    A representative is a matrix whose diagonal is non-decreasing; the
+    flat index is (sorted-diagonal index, row-major off-diagonal digits),
+    last digit fastest.  Each representative stands for the
+    n!/prod(multiplicity!) matrices that permutation similarity reaches by
+    rearranging its diagonal, and is counted with that weight.
+    """
     p, m, n, lo, hi = args
     q = p**m
     classifier = _CLASSIFIERS.get(n, _classify_generic)
-    rows = _decode_index(lo, q, n)
+    block = q ** (n * n - n)
+    d_lo, skip = divmod(lo, block)
+    left = hi - lo
     tally = _Tally()
-    tally.total = hi - lo
-    parts = tally.partitions
-    top = q - 1
-    char_all = corr_all = filtered = char_f = corr_f = 0
-    for _ in range(hi - lo):
-        char, corr, key, in_filter = classifier(rows, p, m)
-        if char and not corr:
-            raise AssertionError(
-                f"characterized but not correspondent at p={p}, m={m}: {rows}"
-            )
-        if char:
-            char_all += 1
-        if corr:
-            corr_all += 1
-        if key in parts:
-            cell = parts[key]
-            cell[0] += 1
-            cell[1] += char
-        else:
-            parts[key] = [1, 1 if char else 0]
-        if in_filter:
-            filtered += 1
-            if char:
-                char_f += 1
-            if corr:
-                corr_f += 1
-        # odometer step, last entry fastest
-        k = n * n - 1
-        while k >= 0 and rows[k // n][k % n] == top:
-            rows[k // n][k % n] = 0
-            k -= 1
-        if k >= 0:
-            rows[k // n][k % n] += 1
-    tally.char_all = char_all
-    tally.corr_all = corr_all
-    tally.filtered = filtered
-    tally.char_filtered = char_f
-    tally.corr_filtered = corr_f
+    fills = tuple(product(range(q), repeat=n - 1))
+    for diag in islice(combinations_with_replacement(range(q), n), d_lo, None):
+        if left <= 0:
+            break
+        count = min(block - skip, left)
+        # row i runs over its q^(n-1) off-diagonal fills around diag[i]
+        choices = [[f[:i] + (d,) + f[i:] for f in fills] for i, d in enumerate(diag)]
+        window = (skip, skip + count)
+        outcomes = Counter(
+            map(classifier, islice(product(*choices), *window), repeat(p), repeat(m))
+        )
+        if any(char and not corr for char, corr, _, _ in outcomes):
+            for rows in islice(product(*choices), *window):
+                char, corr, _, _ = classifier(rows, p, m)
+                if char and not corr:
+                    raise AssertionError(
+                        f"characterized but not correspondent at p={p}, m={m}: "
+                        f"{[list(r) for r in rows]}"
+                    )
+        tally.add_outcomes(outcomes, _arrangements(diag))
+        left -= count
+        skip = 0
     return tally
 
 
@@ -520,11 +542,15 @@ def enumerate_density(
     threads: int | None = None,
     budget: int = DEFAULT_BUDGET,
 ) -> DensityRow:
-    """Classify every n x n matrix over [0, p^m) and tally the densities.
+    """Count every n x n matrix over [0, p^m) and tally the densities.
 
-    The workload splits into contiguous index ranges merged
-    deterministically, so the result is independent of thread count.
-    Raises BudgetExceededError when the space is larger than budget.
+    One representative per sorted diagonal is classified and weighted by
+    its number of diagonal arrangements (see the module docstring).  The
+    representatives split into contiguous ranges of one flat index
+    (sorted diagonal, off-diagonal digits) merged deterministically, so
+    the result is independent of thread count.  Raises
+    BudgetExceededError when the full space (p^m)^(n^2) is larger than
+    budget.
     """
     _require_prime(p)
     if m < 1 or n < 1:
@@ -537,12 +563,13 @@ def enumerate_density(
         )
     threads = _resolve_threads(threads)
 
+    reps = _representative_count(p**m, n)
     if threads == 1 or total < 4096:
-        tally = _tally_range((p, m, n, 0, total))
+        tally = _tally_range((p, m, n, 0, reps))
     else:
         import multiprocessing as mp
 
-        bounds = [total * i // threads for i in range(threads + 1)]
+        bounds = [reps * i // threads for i in range(threads + 1)]
         jobs = [
             (p, m, n, bounds[i], bounds[i + 1])
             for i in range(threads)
@@ -552,11 +579,14 @@ def enumerate_density(
         with mp.Pool(threads) as pool:
             for part in pool.map(_tally_range, jobs):
                 tally.merge(part)
-        tally.total = total
+    if tally.total != total:
+        raise AssertionError(
+            f"representative weights sum to {tally.total}, expected {total} matrices"
+        )
 
     # expose each class by its localized Smith diagonal (p^e_1, ..., p^e_r, 0, ..)
     partitions = {}
-    for (r, *exps), (size, char) in tally.partitions.items():
+    for (r, *exps), (size, char) in sorted(tally.partitions.items()):
         diag = tuple(p**e for e in exps) + (0,) * (n - r)
         partitions[diag] = PartitionCell(size=size, char_count=char)
     if convention is Convention.ALL:
@@ -607,7 +637,7 @@ def gl_order(p: int, m: int, n: int) -> int:
 
 
 def gl_count(p: int, m: int, n: int, exhaustive_budget: int = 2**20) -> GLCountReport:
-    """Order of GL_n(Z/p^m Z); the full-space/GL ratio is asserted < 4.
+    """Order of GL_n(Z/p^m Z); a full-space/GL ratio of 4 or more raises.
 
     When the residue space fits in exhaustive_budget the closed form is
     verified by brute-force counting of invertible matrices.
@@ -615,22 +645,15 @@ def gl_count(p: int, m: int, n: int, exhaustive_budget: int = 2**20) -> GLCountR
     order = gl_order(p, m, n)
     space = p ** (m * n * n)
     ratio = Fraction(space, order)
-    assert ratio < 4, f"GL density ratio {ratio} is not below 4"
+    if not ratio < 4:
+        raise AssertionError(f"GL density ratio {ratio} is not below 4")
     checked = False
     if space <= exhaustive_budget:
-        q = p**m
-        count = 0
-        rows = [[0] * n for _ in range(n)]
-        top = q - 1
-        for _ in range(space):
-            if _det_rows([row[:] for row in rows]) % p:
-                count += 1
-            k = n * n - 1
-            while k >= 0 and rows[k // n][k % n] == top:
-                rows[k // n][k % n] = 0
-                k -= 1
-            if k >= 0:
-                rows[k // n][k % n] += 1
+        count = sum(
+            1
+            for rows in product(product(range(p**m), repeat=n), repeat=n)
+            if _det_rows(list(map(list, rows))) % p
+        )
         if count != order:
             raise AssertionError(
                 f"exhaustive GL count {count} disagrees with closed form {order}"
@@ -686,17 +709,7 @@ def orbit_stabilizer_check(
             f"pair space (p^m)^(2 n^2) = {space * space} exceeds budget {budget}"
         )
 
-    flats = []
-    rows = [[0] * n for _ in range(n)]
-    top = q - 1
-    for _ in range(space):
-        flats.append(tuple(x for row in rows for x in row))
-        k = n * n - 1
-        while k >= 0 and rows[k // n][k % n] == top:
-            rows[k // n][k % n] = 0
-            k -= 1
-        if k >= 0:
-            rows[k // n][k % n] += 1
+    flats = list(product(range(q), repeat=n * n))
 
     members = set()
     for flat in flats:
@@ -704,11 +717,13 @@ def orbit_stabilizer_check(
         if local_profile(M, p).exponents == exponents:
             members.add(flat)
     class_size = len(members)
-    assert class_size > 0
+    if class_size == 0:
+        raise AssertionError(f"profile class {exponents} has no member over [0, {q})")
 
     order = gl_order(p, m, n)
     expected, rem = divmod(order * order, class_size)
-    assert rem == 0, "class size does not divide |GL|^2"
+    if rem:
+        raise AssertionError(f"class size {class_size} does not divide |GL|^2 = {order * order}")
 
     powers = [p**e for e in exponents]
     hits: Counter = Counter()
@@ -805,16 +820,8 @@ def proot_count_check(
     points = side**g.nvars
     if points > budget:
         raise BudgetExceededError(f"grid size {points} exceeds budget {budget}")
-    count = 0
-    point = [0] * g.nvars
-    for _ in range(points):
-        if g.evaluate(tuple(point)) % p == 0:
-            count += 1
-        k = g.nvars - 1
-        while k >= 0 and point[k] == side - 1:
-            point[k] = 0
-            k -= 1
-        if k >= 0:
-            point[k] += 1
+    count = sum(
+        1 for point in product(range(side), repeat=g.nvars) if g.evaluate(point) % p == 0
+    )
     bound = ell**g.nvars * g.total_degree * p ** (g.nvars - 1)
     return PRootReport(p=p, ell=ell, root_count=count, bound=bound)

@@ -1,8 +1,13 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import padicsmith
 from padicsmith.cli import main
 from padicsmith.exact import IntMatrix
 
@@ -126,6 +131,24 @@ def test_verify_suites_pass(argv, capsys):
     out = capsys.readouterr().out
     assert "PASS" in out
     assert "FAIL" not in out
+
+
+@pytest.mark.parametrize("suite", ["theorem1", "gl-ratio"])
+def test_verify_suites_pass_with_asserts_stripped(suite):
+    # python -O drops assert statements; the checks guarding results must survive
+    env = dict(os.environ)
+    src = str(Path(padicsmith.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "padicsmith.cli", "verify", "--suite", suite],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "PASS" in proc.stdout
+    assert "FAIL" not in proc.stdout
 
 
 def test_verify_unknown_suite_is_usage_error(capsys):

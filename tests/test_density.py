@@ -76,9 +76,61 @@ def test_json_round_trip():
 
 
 def test_thread_counts_agree():
-    serial = enumerate_density(2, 2, 2, threads=1)
-    parallel = enumerate_density(2, 2, 2, threads=2)
-    assert serial == parallel
+    # both cells clear the 4096-matrix serial cutoff, so the pool runs;
+    # (2,1,4) has only 5 sorted diagonals, so 3 workers split inside them
+    for cell in [(3, 2, 2), (2, 1, 4)]:
+        for convention in Convention:
+            serial = enumerate_density(*cell, convention=convention, threads=1)
+            for threads in (2, 3):
+                assert enumerate_density(*cell, convention=convention, threads=threads) == serial
+
+
+def _brute_force_row(p, m, n, convention):
+    """Classify every matrix of the box, no symmetry reduction."""
+    total = char_count = corr_count = 0
+    parts = {}
+    for flat in product(range(p**m), repeat=n * n):
+        rows = [list(flat[i * n : (i + 1) * n]) for i in range(n)]
+        char, corr, (r, *exps), in_filter = classify_residue_matrix(rows, p, m)
+        diag = tuple(p**e for e in exps) + (0,) * (n - r)
+        size, chars = parts.get(diag, (0, 0))
+        parts[diag] = (size + 1, chars + char)
+        if convention is Convention.ALL or in_filter:
+            total += 1
+            char_count += char
+            corr_count += corr
+    return DensityRow(
+        p=p,
+        m=m,
+        n=n,
+        convention=convention,
+        total=total,
+        char_count=char_count,
+        corr_count=corr_count,
+        partitions={key: PartitionCell(*cell) for key, cell in parts.items()},
+    )
+
+
+@pytest.mark.parametrize("cell", [(2, 1, 2), (2, 2, 2), (3, 1, 2), (2, 1, 3), (3, 1, 3), (3, 2, 1)])
+@pytest.mark.parametrize("convention", list(Convention))
+def test_weighted_enumeration_matches_brute_force(cell, convention):
+    assert enumerate_density(*cell, convention=convention) == _brute_force_row(*cell, convention)
+
+
+def test_counterexample_names_its_matrix(monkeypatch):
+    import padicsmith.density as density
+
+    real = density._classify2
+
+    def planted(rows, p, m):
+        char, corr, key, in_filter = real(rows, p, m)
+        if [list(r) for r in rows] == [[0, 1], [1, 1]]:
+            return True, False, key, in_filter
+        return char, corr, key, in_filter
+
+    monkeypatch.setitem(density._CLASSIFIERS, 2, planted)
+    with pytest.raises(AssertionError, match=r"\[\[0, 1\], \[1, 1\]\]"):
+        enumerate_density(2, 1, 2)
 
 
 def test_budget_guard():
