@@ -19,14 +19,29 @@ predicates, the determinant filter and the partition key are constant
 on its orbits.  For a fixed arrangement of a diagonal, one such
 similarity maps the matrices with that diagonal one-to-one onto the
 matrices with the sorted diagonal.  So the walk classifies only the
-representatives whose diagonal is non-decreasing, with the off-diagonal
-entries over the full box, and counts each with weight
-n!/prod(multiplicity!) of its diagonal values: the number of
-arrangements it stands for.
+representatives whose diagonal is non-decreasing and counts each with
+weight n!/prod(multiplicity!) of its diagonal values: the number of
+arrangements it stands for.  Transposition is a second exact symmetry:
+A -> A^T keeps the diagonal, the characteristic polynomial and the Smith
+form, and swaps a01 with a10.  So for n >= 2 only representatives with
+a01 <= a10 are classified (the other off-diagonal entries over the full
+box); one with a01 < a10 also stands for its transpose and counts twice.
 
-The per-matrix classifier here is a specialized fast path (direct minor
-valuations, hand-rolled charpolys for n <= 4); its agreement with the
-general machinery in classify.analyze is enforced by the test suite.
+The per-matrix classifier here is a specialized fast path for n <= 4
+(direct minor valuations read from a per-cell table, hand-rolled
+charpolys); its agreement with the general machinery in
+classify.analyze is enforced by the test suite.  It decides
+correspondence without building a Newton polygon.  With the Smith
+exponents e_1 <= ... <= e_r and Delta_k = e_1 + ... + e_k, the valuation
+of the k-th determinantal divisor, each coefficient f_k of the
+characteristic polynomial is a signed sum of principal k x k minors, so
+val_p(f_k) >= Delta_k: the Newton polygon lies on or above the Hodge
+polygon through (k, Delta_k) (Mazur's inequality), and both span
+0 <= x <= r.  The lower convex hull of points on or above a convex
+polygon equals that polygon exactly when the points include each of its
+vertices.  So the matrix is correspondent exactly when val_p(f_r) =
+Delta_r and val_p(f_k) = Delta_k at every k < r with e_k < e_{k+1}, and
+characterized when that holds at every k.
 """
 
 from __future__ import annotations
@@ -36,11 +51,12 @@ from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, islice, product, repeat
+from functools import lru_cache
+from itertools import chain, combinations, combinations_with_replacement, islice, product, repeat
 from math import comb, factorial, prod
 
 from .classify import analyze
-from .exact import BudgetExceededError, IntMatrix, _det_rows, _require_prime
+from .exact import BudgetExceededError, IntMatrix, _det_rows, _require_prime, val_p
 from .smith import local_profile
 
 DEFAULT_BUDGET = 2**30
@@ -150,162 +166,122 @@ class DensityRow:
 # fast per-matrix classification
 # ---------------------------------------------------------------------------
 
-def _vp(x: int, p: int) -> int:
-    # valuation of a nonzero int
-    v = 0
-    while x % p == 0:
-        x //= p
-        v += 1
-    return v
+# Largest valuation table a classifier builds.  Every cell within
+# DEFAULT_BUDGET fits (the largest, n = 2 with p^m = 181, needs 64800);
+# bigger boxes go through classify.analyze instead.
+_TABLE_LIMIT = 2**16
+
+# What a table holds at index 0: more than the valuation of any nonzero
+# value under _TABLE_LIMIT, so min() passes over zero entries and minors,
+# and a vanishing coefficient never equals a determinantal valuation.
+_VAL_OF_ZERO = _TABLE_LIMIT
 
 
-def _np_match(fv: list[int | None], profile: list[int]) -> bool:
-    """Do the Newton polygon slopes of the (truncated) charpoly equal the profile?
+def _table_bound(q: int, n: int) -> int:
+    """Largest |x| a classifier looks up for an n x n matrix over [0, q).
 
-    fv[i-1] is val_p(f_i) or None for a vanishing coefficient; the last
-    entry must be non-None.  Slopes are matched segment by segment with
-    integer arithmetic only: a fractional slope can never equal an
-    integer profile entry, so it fails fast on the divisibility test.
+    f_k sums n!/(k!(n-k)!) principal k x k minors of k! products each, so
+    |f_k| <= n!/(n-k)! (q-1)^k, which also bounds every k x k minor; the
+    maximum over k is at k = n.
     """
-    hull_x = [0]
-    hull_y = [0]
-    for i, v in enumerate(fv, start=1):
-        if v is None:
-            continue
-        while len(hull_x) >= 2:
-            x0, y0 = hull_x[-2], hull_y[-2]
-            if (hull_y[-1] - y0) * (i - x0) >= (v - y0) * (hull_x[-1] - x0):
-                hull_x.pop()
-                hull_y.pop()
-            else:
-                break
-        hull_x.append(i)
-        hull_y.append(v)
-    pos = 0
-    for k in range(len(hull_x) - 1):
-        dx = hull_x[k + 1] - hull_x[k]
-        dy = hull_y[k + 1] - hull_y[k]
-        if dy % dx:
-            return False
-        slope = dy // dx
-        for _ in range(dx):
-            if profile[pos] != slope:
-                return False
-            pos += 1
-    return True
+    return factorial(n) * (q - 1) ** n
 
 
-def _classify2(rows, p: int, m: int):
-    a, b = rows[0]
-    c, d = rows[1]
-    f1 = -(a + d)
-    f2 = a * d - b * c
-    if f2:
-        # nonsingular: delta_1 = min entry valuation, delta_2 = val(det) always
-        # matches val(f_2), so characterized reduces to the f_1 test
-        d1 = None
-        for x in (a, b, c, d):
-            if x:
-                v = _vp(x, p)
-                if d1 is None or v < d1:
-                    d1 = v
-                    if v == 0:
-                        break
-        d2 = _vp(f2, p)
-        char = f1 != 0 and _vp(f1, p) == d1
-        e1, e2 = d1, d2 - d1
-        if f1:
-            v1 = _vp(f1, p)
-            if 2 * v1 <= d2:
-                corr = v1 == e1 and d2 - v1 == e2
-            else:
-                corr = d2 % 2 == 0 and e1 == e2
-        else:
-            corr = d2 % 2 == 0 and e1 == e2
-        return char, corr, (2, e1, e2), d2 < m
-    if a or b or c or d:
+@lru_cache(maxsize=16)
+def _valuation_table(p: int, m: int, n: int) -> list[int]:
+    """val_p(x) at index x for every nonzero |x| up to _table_bound.
+
+    A negative x wraps to the end of the list, as Python indexing does,
+    so one list serves both signs.
+    """
+    bound = _table_bound(p**m, n)
+    table = [_VAL_OF_ZERO] * (2 * bound + 1)
+    for x in range(1, bound + 1):
+        table[x] = table[-x] = val_p(x, p)
+    return table
+
+
+def _hodge_test(fv: list[int], dv: list[int]) -> tuple[bool, bool]:
+    """(characterized, correspondent) from val_p(f_k) and Delta_k, k = 1..r.
+
+    fv[k-1] is val_p(f_k), with _VAL_OF_ZERO for a vanishing f_k, and
+    dv[k-1] = Delta_k = e_1 + ... + e_k.  Characterized means fv == dv.
+    Each f_k sums principal k x k minors, so fv >= dv entrywise: the
+    Newton polygon lies on or above the Hodge polygon through the points
+    (k, Delta_k), and both end at x = r.  They are equal, i.e. the
+    matrix is correspondent, exactly when the Newton points hit the Hodge
+    polygon at x = r and at every vertex k, where e_k < e_{k+1}.
+    """
+    if fv == dv:
+        return True, True
+    if fv[-1] != dv[-1]:
+        return False, False
+    prev = 0
+    for k in range(len(dv) - 1):
+        # e_k < e_{k+1} is Delta_k - Delta_{k-1} < Delta_{k+1} - Delta_k
+        if fv[k] != dv[k] and 2 * dv[k] < prev + dv[k + 1]:
+            return False, False
+        prev = dv[k]
+    return False, True
+
+
+def _classify2(rows, p: int, m: int, vt: list[int]):
+    (a, b), (c, d) = rows
+    d1 = min(vt[a], vt[b], vt[c], vt[d])
+    v1 = vt[a + d]
+    det = a * d - b * c
+    if det:
+        # f_2 = det, so only f_1 can miss; the Hodge polygon has a vertex
+        # at x = 1 unless e_1 = e_2
+        d2 = vt[det]
+        char = v1 == d1
+        return char, char or 2 * d1 == d2, (2, d1, d2 - d1), d2 < m
+    if d1 != _VAL_OF_ZERO:
         # rank 1: both predicates reduce to val(trace) == min entry valuation
-        d1 = min(_vp(x, p) for x in (a, b, c, d) if x)
-        ok = f1 != 0 and _vp(f1, p) == d1
-        return ok, ok, (1, d1), False
+        char = v1 == d1
+        return char, char, (1, d1), False
     return True, True, (0,), False
 
 
-_ROWPAIRS3 = tuple(combinations(range(3), 2))
+def _classify3(rows, p: int, m: int, vt: list[int]):
+    (a, b, c), (d, e, f), (g, h, i) = rows
+    d1 = min(vt[a], vt[b], vt[c], vt[d], vt[e], vt[f], vt[g], vt[h], vt[i])
+    if d1 == _VAL_OF_ZERO:
+        return True, True, (0,), False
+    # the principal 2 x 2 minors, then the rest of rows 1-2 for the det
+    p01, p02, p12 = a * e - b * d, a * i - c * g, e * i - f * h
+    x02, x01 = d * i - f * g, d * h - e * g
+    det = a * p12 - b * x02 + c * x01
+    d2 = min(
+        vt[p01], vt[a * f - c * d], vt[b * f - c * e],
+        vt[a * h - b * g], vt[p02], vt[b * i - c * h],
+        vt[x01], vt[x02], vt[p12],
+    )
+    v1 = vt[a + e + i]
+    # _hodge_test written out for r = 3 and r = 2
+    if det:
+        d3 = vt[det]
+        ok1 = v1 == d1
+        ok2 = vt[p01 + p02 + p12] == d2
+        corr = (ok1 or 2 * d1 == d2) and (ok2 or 2 * d2 == d1 + d3)
+        return ok1 and ok2, corr, (3, d1, d2 - d1, d3 - d2), d3 < m
+    if d2 != _VAL_OF_ZERO:
+        ok1 = v1 == d1
+        ok2 = vt[p01 + p02 + p12] == d2
+        return ok1 and ok2, ok2 and (ok1 or 2 * d1 == d2), (2, d1, d2 - d1), False
+    char = v1 == d1
+    return char, char, (1, d1), False
+
+
 _PAIRS4 = tuple(combinations(range(4), 2))
 _TRIPLES4 = tuple(combinations(range(4), 3))
 
 
-def _classify3(rows, p: int, m: int):
-    r0, r1, r2 = rows
-    f1 = -(r0[0] + r1[1] + r2[2])
-    f2 = (
-        (r0[0] * r1[1] - r0[1] * r1[0])
-        + (r0[0] * r2[2] - r0[2] * r2[0])
-        + (r1[1] * r2[2] - r1[2] * r2[1])
-    )
-    det = (
-        r0[0] * (r1[1] * r2[2] - r1[2] * r2[1])
-        - r0[1] * (r1[0] * r2[2] - r1[2] * r2[0])
-        + r0[2] * (r1[0] * r2[1] - r1[1] * r2[0])
-    )
-    f3 = -det
-
-    # determinantal divisor valuations, level by level
-    d1 = None
-    for row in rows:
-        for x in row:
-            if x:
-                v = _vp(x, p)
-                if d1 is None or v < d1:
-                    d1 = v
-        if d1 == 0:
-            break
-    if d1 is None:
-        return True, True, (0,), False  # zero matrix
-
-    d2 = None
-    for i0, i1 in _ROWPAIRS3:
-        ra, rb = rows[i0], rows[i1]
-        for j0, j1 in _ROWPAIRS3:
-            mm = ra[j0] * rb[j1] - ra[j1] * rb[j0]
-            if mm:
-                v = _vp(mm, p)
-                if d2 is None or v < d2:
-                    d2 = v
-        if d2 == 0:
-            break
-
-    if d2 is None:
-        r = 1
-        dv = [d1]
-    elif det == 0:
-        r = 2
-        dv = [d1, d2]
-    else:
-        r = 3
-        dv = [d1, d2, _vp(det, p)]
-
-    fs = (f1, f2, f3)
-    fv = [(_vp(f, p) if f else None) for f in fs[:r]]
-    char = all(v is not None and v == d for v, d in zip(fv, dv))
-
-    profile = [dv[0]] + [dv[i] - dv[i - 1] for i in range(1, r)]
-    r_prime = 0
-    for i in (3, 2, 1):
-        if fs[i - 1]:
-            r_prime = i
-            break
-    if r_prime < r:
-        corr = False
-    else:
-        corr = _np_match(fv, profile)
-
-    return char, corr, (r, *profile), r == 3 and dv[2] < m
-
-
-def _classify4(rows, p: int, m: int):
+def _classify4(rows, p: int, m: int, vt: list[int]):
     r0, r1, r2, r3 = rows
+    d1 = min(map(vt.__getitem__, (*r0, *r1, *r2, *r3)))
+    if d1 == _VAL_OF_ZERO:
+        return True, True, (0,), False
     f1 = -(r0[0] + r1[1] + r2[2] + r3[3])
     f2 = 0
     for i0, i1 in _PAIRS4:
@@ -331,78 +307,42 @@ def _classify4(rows, p: int, m: int):
                 + r1[c2] * (r2[c0] * r3[c1] - r2[c1] * r3[c0])
             )
             det += (sub if j % 2 == 0 else -sub) * r0[j]
-    f4 = det
 
-    d1 = None
-    for row in rows:
-        for x in row:
-            if x:
-                v = _vp(x, p)
-                if d1 is None or v < d1:
-                    d1 = v
-        if d1 == 0:
-            break
-    if d1 is None:
-        return True, True, (0,), False
-
-    d2 = None
+    # determinantal valuations; a unit minor ends the search at its level
+    d2 = _VAL_OF_ZERO
     for i0, i1 in _PAIRS4:
         ra, rb = rows[i0], rows[i1]
         for j0, j1 in _PAIRS4:
-            mm = ra[j0] * rb[j1] - ra[j1] * rb[j0]
-            if mm:
-                v = _vp(mm, p)
-                if d2 is None or v < d2:
-                    d2 = v
+            v = vt[ra[j0] * rb[j1] - ra[j1] * rb[j0]]
+            if v < d2:
+                d2 = v
         if d2 == 0:
             break
-
-    d3 = None
-    if d2 is not None:
-        for ri in _TRIPLES4:
-            ra, rb, rc = rows[ri[0]], rows[ri[1]], rows[ri[2]]
-            for ci in _TRIPLES4:
-                c0, c1, c2 = ci
-                mm = (
+    d3 = _VAL_OF_ZERO
+    if d2 != _VAL_OF_ZERO:
+        for i, j, k in _TRIPLES4:
+            ra, rb, rc = rows[i], rows[j], rows[k]
+            for c0, c1, c2 in _TRIPLES4:
+                v = vt[
                     ra[c0] * (rb[c1] * rc[c2] - rb[c2] * rc[c1])
                     - ra[c1] * (rb[c0] * rc[c2] - rb[c2] * rc[c0])
                     + ra[c2] * (rb[c0] * rc[c1] - rb[c1] * rc[c0])
-                )
-                if mm:
-                    v = _vp(mm, p)
-                    if d3 is None or v < d3:
-                        d3 = v
+                ]
+                if v < d3:
+                    d3 = v
             if d3 == 0:
                 break
 
-    if d2 is None:
-        r, dv = 1, [d1]
-    elif d3 is None:
-        r, dv = 2, [d1, d2]
-    elif det == 0:
-        r, dv = 3, [d1, d2, d3]
-    else:
-        r, dv = 4, [d1, d2, d3, _vp(det, p)]
-
-    fs = (f1, f2, f3, f4)
-    fv = [(_vp(f, p) if f else None) for f in fs[:r]]
-    char = all(v is not None and v == d for v, d in zip(fv, dv))
-
-    profile = [dv[0]] + [dv[i] - dv[i - 1] for i in range(1, r)]
-    r_prime = 0
-    for i in (4, 3, 2, 1):
-        if fs[i - 1]:
-            r_prime = i
-            break
-    if r_prime < r:
-        corr = False
-    else:
-        corr = _np_match(fv, profile)
-
-    return char, corr, (r, *profile), r == 4 and dv[3] < m
+    fv = [vt[f1], vt[f2], vt[f3], vt[det]]
+    dv = [d1, d2, d3, vt[det]]
+    r = 4 if det else dv.index(_VAL_OF_ZERO)
+    del fv[r:], dv[r:]
+    char, corr = _hodge_test(fv, dv)
+    key = (r, d1) + tuple(dv[k] - dv[k - 1] for k in range(1, r))
+    return char, corr, key, r == 4 and dv[3] < m
 
 
-def _classify_generic(rows, p: int, m: int):
+def _classify_generic(rows, p: int, m: int, vt: list[int] | None):
     # correctness fallback for sizes without a specialized path
     A = IntMatrix.from_rows(rows)
     rep = analyze(A, p)
@@ -411,6 +351,13 @@ def _classify_generic(rows, p: int, m: int):
 
 
 _CLASSIFIERS = {2: _classify2, 3: _classify3, 4: _classify4}
+
+
+def _classifier_for(p: int, m: int, n: int):
+    """The classifier for n x n matrices over [0, p^m), and the table it reads."""
+    if n in _CLASSIFIERS and _table_bound(p**m, n) <= _TABLE_LIMIT:
+        return _CLASSIFIERS[n], _valuation_table(p, m, n)
+    return _classify_generic, None
 
 
 def classify_residue_matrix(
@@ -422,10 +369,16 @@ def classify_residue_matrix(
     The key is (rank, e_1, ..., e_rank), identifying the Smith form
     localized at p; det_filtered flags val_p(det) < m.  Semantics are
     identical to classify.analyze; the test suite pins the two
-    implementations together.
+    implementations together.  Raises ValueError when an entry lies
+    outside [0, p^m).
     """
-    classifier = _CLASSIFIERS.get(len(rows), _classify_generic)
-    return classifier(rows, p, m)
+    q = p**m
+    if min(map(min, rows)) < 0 or max(map(max, rows)) >= q:
+        raise ValueError(
+            f"residue matrix entries must lie in [0, {q}), got {[list(r) for r in rows]}"
+        )
+    classifier, vt = _classifier_for(p, m, len(rows))
+    return classifier(rows, p, m, vt)
 
 
 # ---------------------------------------------------------------------------
@@ -480,48 +433,76 @@ def _arrangements(diag: tuple[int, ...]) -> int:
 
 
 def _representative_count(q: int, n: int) -> int:
-    """Size of the flat representative index: sorted diagonals x off-diagonal fills."""
-    return comb(q + n - 1, n) * q ** (n * n - n)
+    """Size of the flat representative index: sorted diagonals x
+    (a01 <= a10) pairs x the other off-diagonal digits."""
+    if n == 1:
+        return q
+    return comb(q + n - 1, n) * comb(q + 1, 2) * q ** (n * n - n - 2)
 
 
 def _tally_range(args: tuple[int, int, int, int, int]) -> _Tally:
     """Classify the representatives with flat index in [lo, hi).
 
-    A representative is a matrix whose diagonal is non-decreasing; the
-    flat index is (sorted-diagonal index, row-major off-diagonal digits),
-    last digit fastest.  Each representative stands for the
-    n!/prod(multiplicity!) matrices that permutation similarity reaches by
-    rearranging its diagonal, and is counted with that weight.
+    A representative has a non-decreasing diagonal and a01 <= a10.  Per
+    sorted diagonal, the representatives with a01 < a10 come first, then
+    those with a01 = a10; each block is ordered by (a01, rest of row 0,
+    a10, rest of row 1, rows 2 .. n-1 row-major), last digit fastest.  A
+    representative stands for the n!/prod(multiplicity!) diagonal
+    arrangements that permutation similarity reaches, times 2 for its
+    transpose when a01 < a10, and is counted with that weight.
     """
     p, m, n, lo, hi = args
     q = p**m
-    classifier = _CLASSIFIERS.get(n, _classify_generic)
-    block = q ** (n * n - n)
-    d_lo, skip = divmod(lo, block)
-    left = hi - lo
+    classifier, vt = _classifier_for(p, m, n)
     tally = _Tally()
-    fills = tuple(product(range(q), repeat=n - 1))
-    for diag in islice(combinations_with_replacement(range(q), n), d_lo, None):
-        if left <= 0:
-            break
-        count = min(block - skip, left)
-        # row i runs over its q^(n-1) off-diagonal fills around diag[i]
-        choices = [[f[:i] + (d,) + f[i:] for f in fills] for i, d in enumerate(diag)]
-        window = (skip, skip + count)
-        outcomes = Counter(
-            map(classifier, islice(product(*choices), *window), repeat(p), repeat(m))
-        )
+
+    def count_block(groups, rest, window, weight):
+        # product(*group, *rest) for each group, chained, from window[0]
+        # up to window[1]; product hands back one reused tuple per matrix
+        def matrices():
+            walk = chain.from_iterable(product(*group, *rest) for group in groups)
+            return islice(walk, *window)
+
+        outcomes = Counter(map(classifier, matrices(), repeat(p), repeat(m), repeat(vt)))
         if any(char and not corr for char, corr, _, _ in outcomes):
-            for rows in islice(product(*choices), *window):
-                char, corr, _, _ = classifier(rows, p, m)
+            for rows in matrices():
+                char, corr, _, _ = classifier(rows, p, m, vt)
                 if char and not corr:
                     raise AssertionError(
                         f"characterized but not correspondent at p={p}, m={m}: "
                         f"{[list(r) for r in rows]}"
                     )
-        tally.add_outcomes(outcomes, _arrangements(diag))
-        left -= count
-        skip = 0
+        tally.add_outcomes(outcomes, weight)
+
+    if n == 1:
+        count_block([([(x,) for x in range(q)],)], [], (lo, hi), 1)
+        return tally
+    tail = q ** (n * n - n - 2)  # representatives per (a01, a10) pair
+    fills = tuple(product(range(q), repeat=n - 2))  # rest of rows 0 and 1
+    row_fills = tuple(product(range(q), repeat=n - 1))  # rows 2 .. n-1
+    d_lo, skip = divmod(lo, comb(q + 1, 2) * tail)
+    left = hi - lo
+    for diag in islice(combinations_with_replacement(range(q), n), d_lo, None):
+        if left <= 0:
+            break
+        d0, d1 = diag[:2]
+        # rows 0 and 1 indexed by a01 and a10, each over its other fills;
+        # row i >= 2 runs over its q^(n-1) off-diagonal fills around diag[i]
+        row0 = [[(d0, x) + f for f in fills] for x in range(q)]
+        row1 = [[(y, d1) + f for f in fills] for y in range(q)]
+        rest = [[f[:i] + (d,) + f[i:] for f in row_fills] for i, d in enumerate(diag) if i >= 2]
+        weight = _arrangements(diag)
+        # one product per a01 in each block: row 1 over every a10 > a01
+        # (strict), then with a10 = a01 (tied)
+        strict = [(row0[x], [r for y in range(x + 1, q) for r in row1[y]]) for x in range(q)]
+        tied = list(zip(row0, row1))
+        for groups, pairs, mult in ((strict, comb(q, 2), 2), (tied, q, 1)):
+            size = pairs * tail
+            count = min(size - skip, left)
+            if count > 0:
+                count_block(groups, rest, (skip, skip + count), weight * mult)
+                left -= count
+            skip = max(skip - size, 0)
     return tally
 
 

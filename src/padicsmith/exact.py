@@ -7,6 +7,7 @@ only.  No floating point, no numpy.
 from __future__ import annotations
 
 import json
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -247,14 +248,46 @@ def parse_matrix(text: str) -> IntMatrix:
     return _parse_matrix_text(text)
 
 
+def _int_error(token: str, where: str) -> MatrixParseError:
+    """The error for a token at `where` that int() refused, saying why."""
+    body = token.strip()
+    if body[:1] in ("+", "-"):
+        body = body[1:]
+    if body.isdecimal():
+        # int() takes any run of decimal digits up to its digit limit
+        limit = sys.get_int_max_str_digits()
+        return MatrixParseError(
+            f"{where}: integer has {len(body)} digits, more than int()'s limit of {limit}"
+        )
+    return MatrixParseError(f"{where}: not an integer: {token!r}")
+
+
+def _parse_int(token: str, where: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise _int_error(token, where) from None
+
+
+class _IntLiteral(str):
+    """A JSON integer literal kept as text, for _parse_int to convert."""
+
+
 def _parse_matrix_json(text: str) -> IntMatrix:
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise MatrixParseError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except ValueError:
+        # an integer literal past int()'s digit limit, which json reports
+        # without a position: parse again with every integer literal kept as
+        # text, so the checks below name the entry
+        obj = json.loads(text, parse_int=_IntLiteral)
     if not isinstance(obj, dict) or "n" not in obj or "entries" not in obj:
         raise MatrixParseError('JSON matrix must be an object with keys "n" and "entries"')
     n, entries = obj["n"], obj["entries"]
+    if type(n) is _IntLiteral:
+        n = _parse_int(n, '"n"')
     if not isinstance(n, int) or n < 1:
         raise MatrixParseError(f'"n" must be a positive integer, got {n!r}')
     if not isinstance(entries, list) or len(entries) != n:
@@ -263,7 +296,9 @@ def _parse_matrix_json(text: str) -> IntMatrix:
         if not isinstance(row, list) or len(row) != n:
             raise MatrixParseError(f"row {i + 1}: expected {n} entries")
         for j, x in enumerate(row):
-            if type(x) is not int:
+            if type(x) is _IntLiteral:
+                row[j] = _parse_int(x, f"row {i + 1}, entry {j + 1}")
+            elif type(x) is not int:
                 raise MatrixParseError(f"row {i + 1}, entry {j + 1}: not an integer: {x!r}")
     return IntMatrix.from_rows(entries)
 
@@ -276,10 +311,7 @@ def _parse_matrix_text(text: str) -> IntMatrix:
     tokens = header.split()
     if len(tokens) != 1:
         raise MatrixParseError(f"line {header_no}: expected a single dimension, found {len(tokens)} tokens")
-    try:
-        n = int(tokens[0])
-    except ValueError:
-        raise MatrixParseError(f"line {header_no}: dimension is not an integer: {tokens[0]!r}") from None
+    n = _parse_int(tokens[0], f"line {header_no}: dimension")
     if n < 1:
         raise MatrixParseError(f"line {header_no}: dimension must be >= 1, got {n}")
     body = numbered[1:]
@@ -295,7 +327,7 @@ def _parse_matrix_text(text: str) -> IntMatrix:
             try:
                 row.append(int(tok))
             except ValueError:
-                raise MatrixParseError(f"line {line_no}, entry {j + 1}: not an integer: {tok!r}") from None
+                raise _int_error(tok, f"line {line_no}, entry {j + 1}") from None
         rows.append(row)
     return IntMatrix.from_rows(rows)
 

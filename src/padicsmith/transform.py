@@ -122,8 +122,15 @@ def sample_correspondent(
         if report is not None:
             last_report = report
         if ok:
-            assert report is not None and report.p_correspondent
-            assert det(U) % p != 0 and det(V) % p != 0
+            # the success certificate: explicit raises, so python -O keeps them
+            if report is None or not report.p_correspondent:
+                raise AssertionError(
+                    f"attempt {attempt} succeeded without a p-correspondent result (p={p})"
+                )
+            if det(U) % p == 0 or det(V) % p == 0:
+                raise AssertionError(
+                    f"attempt {attempt} succeeded with a transform singular mod p={p}"
+                )
             return TransformSample(
                 p=p,
                 bound=bound,

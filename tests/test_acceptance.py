@@ -50,12 +50,32 @@ TABLE = {
     (7, 1, 2): ("85.76", "98.00", "85.42"),
 }
 
+# the exact (total, char_count, corr_count) behind each rendered row, so a
+# count off by a few matrices fails even where the two decimals agree
+COUNTS = {
+    (2, 1, 2): (16, 9, 13),
+    (2, 2, 2): (256, 137, 205),
+    (2, 3, 2): (4096, 2185, 3277),
+    (2, 4, 2): (65536, 34953, 52429),
+    (2, 1, 3): (512, 149, 365),
+    (2, 2, 3): (262144, 69485, 183877),
+    (2, 1, 4): (65536, 10229, 43693),
+    (3, 1, 2): (81, 55, 73),
+    (3, 2, 2): (6561, 4429, 5905),
+    (3, 3, 2): (531441, 358723, 478297),
+    (3, 1, 3): (19683, 8971, 17071),
+    (5, 1, 2): (625, 501, 601),
+    (5, 2, 2): (390625, 313001, 375601),
+    (7, 1, 2): (2401, 2059, 2353),
+}
+
 
 def test_criterion_1_density_table():
     start = time.perf_counter()
-    for (p, m, n), expected in TABLE.items():
+    for (p, m, n), rendered in TABLE.items():
         row = enumerate_density(p, m, n)
-        assert row.rendered() == expected, f"({p},{m},{n}): {row.rendered()} != {expected}"
+        expected = ",".join(map(str, (p, m, n, *rendered, *COUNTS[p, m, n])))
+        assert row.csv_row() == expected, f"({p},{m},{n}): {row.csv_row()} != {expected}"
     elapsed = time.perf_counter() - start
     assert elapsed < 300
     print(f"ACCEPTANCE 1 PASS: all {len(TABLE)} density rows exact in {elapsed:.1f}s")
@@ -118,7 +138,8 @@ def test_criterion_3_implication_exhaustive():
             rep = analyze(IntMatrix.from_rows(rows), p)
             assert not (rep.p_characterized and not rep.p_correspondent)
             checked += 1
-        # the enumeration pipeline re-asserts the implication per matrix
+        # the enumeration raises on any classified representative that is
+        # characterized but not correspondent
         enumerate_density(p, m, n)
     elapsed = time.perf_counter() - start
     assert elapsed < 60

@@ -76,9 +76,10 @@ def test_json_round_trip():
 
 
 def test_thread_counts_agree():
-    # both cells clear the 4096-matrix serial cutoff, so the pool runs;
-    # (2,1,4) has only 5 sorted diagonals, so 3 workers split inside them
-    for cell in [(3, 2, 2), (2, 1, 4)]:
+    # every cell clears the 4096-matrix serial cutoff, so the pool runs;
+    # (2,1,4) has only 5 sorted diagonals, so 3 workers split inside them,
+    # and (3,1,3) splits inside the strict and tied pair blocks of an n=3 cell
+    for cell in [(3, 2, 2), (2, 1, 4), (3, 1, 3)]:
         for convention in Convention:
             serial = enumerate_density(*cell, convention=convention, threads=1)
             for threads in (2, 3):
@@ -111,7 +112,9 @@ def _brute_force_row(p, m, n, convention):
     )
 
 
-@pytest.mark.parametrize("cell", [(2, 1, 2), (2, 2, 2), (3, 1, 2), (2, 1, 3), (3, 1, 3), (3, 2, 1)])
+@pytest.mark.parametrize(
+    "cell", [(2, 1, 2), (2, 2, 2), (3, 1, 2), (2, 1, 3), (3, 1, 3), (3, 2, 1), (2, 1, 4), (5, 1, 2)]
+)
 @pytest.mark.parametrize("convention", list(Convention))
 def test_weighted_enumeration_matches_brute_force(cell, convention):
     assert enumerate_density(*cell, convention=convention) == _brute_force_row(*cell, convention)
@@ -122,8 +125,8 @@ def test_counterexample_names_its_matrix(monkeypatch):
 
     real = density._classify2
 
-    def planted(rows, p, m):
-        char, corr, key, in_filter = real(rows, p, m)
+    def planted(rows, *args):
+        char, corr, key, in_filter = real(rows, *args)
         if [list(r) for r in rows] == [[0, 1], [1, 1]]:
             return True, False, key, in_filter
         return char, corr, key, in_filter
@@ -139,7 +142,8 @@ def test_budget_guard():
 
 
 def test_fast_classifier_matches_analyze_exhaustively():
-    for p, m, n in [(2, 1, 2), (3, 1, 2)]:
+    # the n=3 boxes pin the Hodge-vertex test to analyze's Newton polygon
+    for p, m, n in [(2, 1, 2), (3, 1, 2), (2, 1, 3), (3, 1, 3)]:
         q = p**m
         for flat in product(range(q), repeat=n * n):
             rows = [list(flat[i * n : (i + 1) * n]) for i in range(n)]
@@ -152,6 +156,25 @@ def test_fast_classifier_matches_analyze_exhaustively():
                 rep.rank == n and val_p(det(A), p) < m,
             )
             assert classify_residue_matrix(rows, p, m) == want
+
+
+def test_classifier_rejects_entries_outside_the_box():
+    with pytest.raises(ValueError, match=r"\[0, 4\)"):
+        classify_residue_matrix([[0, 4], [1, 1]], 2, 2)
+    with pytest.raises(ValueError):
+        classify_residue_matrix([[0, 1, 0], [1, -1, 0], [0, 0, 1]], 3, 1)
+    assert classify_residue_matrix([[0, 3], [1, 1]], 2, 2) == (True, True, (2, 0, 0), True)
+
+
+def test_classifier_past_the_table_limit_matches_analyze():
+    # (101^3 - 1)^2 is far past any valuation table, so analyze answers
+    p, m = 101, 3
+    boxes = ([[101, 0], [0, 101**2]], [[1, 2], [3, 4]], [[0, 0], [0, 0]], [[202, 101], [101, 303]])
+    for rows in boxes:
+        rep = analyze(IntMatrix.from_rows(rows), p)
+        in_filter = rep.rank == 2 and sum(rep.profile) < m
+        want = (rep.p_characterized, rep.p_correspondent, (rep.rank,) + rep.profile, in_filter)
+        assert classify_residue_matrix(rows, p, m) == want
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,5 +1,6 @@
 import json
 import pickle
+import sys
 from fractions import Fraction
 
 import pytest
@@ -140,6 +141,27 @@ def test_json_round_trip(trident):
     ],
 )
 def test_parse_diagnostics(text, needle):
+    with pytest.raises(MatrixParseError, match=needle):
+        parse_matrix(text)
+
+
+# int()'s digit limit; 0 where there is none (older Pythons, or switched off)
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+LONG = "7" * (DIGIT_LIMIT + 1)
+
+
+@pytest.mark.skipif(DIGIT_LIMIT == 0, reason="int() has no digit limit")
+@pytest.mark.parametrize(
+    "text,needle",
+    [
+        (f"2\n1 2\n3 {LONG}\n", r"line 3, entry 2: integer has \d+ digits"),
+        (f"-{LONG}\n1\n", r"line 1: dimension: integer has \d+ digits"),
+        (f'{{"n": 2, "entries": [[1, 2], [-{LONG}, 4]]}}', r"row 2, entry 1: integer has \d+"),
+        (f'{{"n": {LONG}, "entries": [[1]]}}', r'"n": integer has \d+ digits'),
+    ],
+    ids=["text-entry", "text-dimension", "json-entry", "json-n"],
+)
+def test_overlong_integer_names_its_entry(text, needle):
     with pytest.raises(MatrixParseError, match=needle):
         parse_matrix(text)
 

@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import padicsmith
 from padicsmith.classify import analyze
 from padicsmith.exact import IntMatrix, det, val_p
 from padicsmith.transform import (
@@ -14,7 +19,7 @@ from padicsmith.transform import (
     verify_rem_stability,
 )
 
-from conftest import HEPTA_U, HEPTA_V
+from conftest import HEPTA_U, HEPTA_V, SKEWED
 
 
 def test_published_pair_succeeds_first_try(hepta, hepta_fixed):
@@ -40,6 +45,47 @@ def test_success_certificate(hepta):
     assert det(sample.V) % 7 != 0
     assert sample.result == sample.U @ hepta @ sample.V
     assert sample.report.p_characterized
+
+
+PLANTED_CERTIFICATES = """
+import padicsmith.transform as t
+from padicsmith.classify import analyze
+from padicsmith.exact import IntMatrix
+
+A = IntMatrix.from_rows({skewed})
+eye, zero = IntMatrix.identity(4), IntMatrix.zeros(4)
+not_correspondent = analyze(A, 2)
+correspondent = analyze(eye, 2)
+for report, pair in ((not_correspondent, (eye, eye)), (correspondent, (zero, eye))):
+    t._attempt = lambda A, U, V, p, report=report: (True, report)
+    try:
+        t.sample_correspondent(A, 2, pair_source=lambda pair=pair: pair)
+    except AssertionError as exc:
+        print("refused:", exc)
+    else:
+        print("accepted")
+"""
+
+
+def test_bad_certificate_raises_with_asserts_stripped():
+    # a planted success with a non-correspondent report, then with a U
+    # singular mod p: both must raise even under python -O
+    assert not analyze(IntMatrix.from_rows(SKEWED), 2).p_correspondent
+    env = dict(os.environ)
+    src = str(Path(padicsmith.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", PLANTED_CERTIFICATES.format(skewed=SKEWED)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 2, proc.stdout
+    assert "p-correspondent" in lines[0] and lines[0].startswith("refused:")
+    assert "singular" in lines[1] and lines[1].startswith("refused:")
 
 
 def test_bound_must_be_multiple_of_p(hepta):
