@@ -27,11 +27,16 @@ form, and swaps a01 with a10.  So for n >= 2 only representatives with
 a01 <= a10 are classified (the other off-diagonal entries over the full
 box); one with a01 < a10 also stands for its transpose and counts twice.
 
-The per-matrix classifier here is a specialized fast path for n <= 4
-(direct minor valuations read from a per-cell table, hand-rolled
-charpolys); its agreement with the general machinery in
-classify.analyze is enforced by the test suite.  It decides
-correspondence without building a Newton polygon.  With the Smith
+One classifier serves every n; its agreement with the general machinery
+in classify.analyze is enforced by the test suite.  It reduces a matrix
+to a valuation signature, the valuations of the charpoly coefficients
+f_k and of the determinantal divisors, read from every k x k minor:
+one Laplace recurrence computes all C(2n, n) - 1 minors, each from the
+minors one size smaller.  The recurrence is generated as straight-line
+source and compiled once per n, because the same steps run as loops in
+Python are several times slower per matrix.  Valuations come from a
+per-cell table.  A box has few distinct signatures, so the outcome of
+each is decided once, without building a Newton polygon.  With the Smith
 exponents e_1 <= ... <= e_r and Delta_k = e_1 + ... + e_k, the valuation
 of the k-th determinantal divisor, each coefficient f_k of the
 characteristic polynomial is a signed sum of principal k x k minors, so
@@ -47,6 +52,7 @@ characterized when that holds at every k.
 from __future__ import annotations
 
 import os
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
@@ -55,8 +61,7 @@ from functools import lru_cache
 from itertools import chain, combinations, combinations_with_replacement, islice, product, repeat
 from math import comb, factorial, prod
 
-from .classify import analyze
-from .exact import BudgetExceededError, IntMatrix, _det_rows, _require_prime, val_p
+from .exact import BudgetExceededError, IntMatrix, UnsupportedSizeError, _det_rows, _require_prime, val_p
 from .smith import local_profile
 
 DEFAULT_BUDGET = 2**30
@@ -163,22 +168,29 @@ class DensityRow:
 
 
 # ---------------------------------------------------------------------------
-# fast per-matrix classification
+# per-matrix classification
 # ---------------------------------------------------------------------------
 
-# Largest valuation table a classifier builds.  Every cell within
-# DEFAULT_BUDGET fits (the largest, n = 2 with p^m = 181, needs 64800);
-# bigger boxes go through classify.analyze instead.
+# Largest valuation table kept as a list.  Every cell within
+# DEFAULT_BUDGET with n >= 2 fits (the largest, n = 2 with p^m = 181,
+# needs 64800); bigger boxes look valuations up on demand.
 _TABLE_LIMIT = 2**16
 
-# What a table holds at index 0: more than the valuation of any nonzero
-# value under _TABLE_LIMIT, so min() passes over zero entries and minors,
-# and a vanishing coefficient never equals a determinantal valuation.
-_VAL_OF_ZERO = _TABLE_LIMIT
+# The valuation of zero: a nonzero int's valuation is below its bit
+# length, which is below this, so min() passes over zero entries and
+# minors, a vanishing coefficient never equals a determinantal
+# valuation, and the first Delta_k equal to it marks the rank.
+_VAL_OF_ZERO = sys.maxsize
+
+# Largest n a signature function is built for.  Its C(2n, n) - 1 minors
+# grow about fourfold per step (923 at n = 6); at n = 8 the generated
+# function takes 0.6 s and some 100 MB to build and runs slower than
+# classify.analyze.
+_SIGNATURE_MAX_N = 6
 
 
 def _table_bound(q: int, n: int) -> int:
-    """Largest |x| a classifier looks up for an n x n matrix over [0, q).
+    """Largest |x| a signature looks up for an n x n matrix over [0, q).
 
     f_k sums n!/(k!(n-k)!) principal k x k minors of k! products each, so
     |f_k| <= n!/(n-k)! (q-1)^k, which also bounds every k x k minor; the
@@ -187,21 +199,97 @@ def _table_bound(q: int, n: int) -> int:
     return factorial(n) * (q - 1) ** n
 
 
-@lru_cache(maxsize=16)
-def _valuation_table(p: int, m: int, n: int) -> list[int]:
-    """val_p(x) at index x for every nonzero |x| up to _table_bound.
+class _LazyValuations(dict):
+    """val_p on demand, for a box whose table would pass _TABLE_LIMIT.
 
-    A negative x wraps to the end of the list, as Python indexing does,
-    so one list serves both signs.
+    Nothing is stored, so memory stays flat however many values a walk
+    looks up.
+    """
+
+    def __init__(self, p: int):
+        super().__init__({0: _VAL_OF_ZERO})
+        self.p = p
+
+    def __missing__(self, x: int) -> int:
+        return val_p(x, self.p)
+
+
+@lru_cache(maxsize=16)
+def _valuation_table(p: int, m: int, n: int) -> list[int] | _LazyValuations:
+    """val_p(x) at index x for every |x| up to _table_bound.
+
+    A list when the bound is within _TABLE_LIMIT: a negative x wraps to
+    the end of it, as Python indexing does, so one list serves both
+    signs.  Past the limit, a _LazyValuations.
     """
     bound = _table_bound(p**m, n)
+    if bound > _TABLE_LIMIT:
+        return _LazyValuations(p)
     table = [_VAL_OF_ZERO] * (2 * bound + 1)
     for x in range(1, bound + 1):
         table[x] = table[-x] = val_p(x, p)
     return table
 
 
-def _hodge_test(fv: list[int], dv: list[int]) -> tuple[bool, bool]:
+@lru_cache(maxsize=None)
+def _signature(n: int):
+    """The signature function sig(rows, vt) for n x n matrices.
+
+    It returns (v(f_1), ..., v(f_n), Delta_1, ..., Delta_n) with
+    v(x) = vt[x]: v(f_k) is the valuation of the sum of the principal
+    k x k minors (f_k up to sign) and Delta_k the least valuation of a
+    k x k minor.  The k x k minor on rows R and columns C expands along
+    the last row of R into (k-1) x (k-1) minors, so every minor of every
+    size is computed once: C(2n, n) - 1 in all.
+
+    The recurrence is emitted as straight-line source and compiled once
+    per n: the same steps as a loop over an index plan of minor slots
+    took about 7 times as long per matrix at n = 3 and 4 (CPython
+    3.11).  A minor is named
+    m<row mask>_<column mask>; the source holds nothing but such names,
+    integer indices and operators.  Raises UnsupportedSizeError past
+    _SIGNATURE_MAX_N.
+    """
+    if n > _SIGNATURE_MAX_N:
+        raise UnsupportedSizeError(
+            f"residue classification is limited to n <= {_SIGNATURE_MAX_N}, got {n}; "
+            "use classify.analyze"
+        )
+
+    def mask(indices):
+        return sum(1 << i for i in indices)
+
+    idx = range(n)
+    unpack = ", ".join("(" + ", ".join(f"m{1 << i}_{1 << j}" for j in idx) + ",)" for i in idx)
+    body = [f"def signature_n{n}(rows, vt):", f"    {unpack}, = rows"]
+    fv, dv = [], []
+    for k in range(1, n + 1):
+        minors = []
+        for R in combinations(idx, k):
+            for C in combinations(idx, k):
+                name = f"m{mask(R)}_{mask(C)}"
+                minors.append(name)
+                if k > 1:
+                    # Laplace along row R[-1]: entry (R[-1], c) times the
+                    # minor on R[:-1] and C without c, sign (-1)^(k-1+t)
+                    rest = mask(R[:-1])
+                    terms = ([], [])
+                    for t, c in enumerate(C):
+                        term = f"m{1 << R[-1]}_{1 << c} * m{rest}_{mask(C) ^ (1 << c)}"
+                        terms[(k - 1 + t) % 2].append(term)
+                    plus, minus = terms
+                    body.append(f"    {name} = " + " + ".join(plus) + "".join(f" - {t}" for t in minus))
+        principal = " + ".join(f"m{mask(S)}_{mask(S)}" for S in combinations(idx, k))
+        fv.append(f"vt[{principal}]")
+        looked_up = ", ".join(f"vt[{name}]" for name in minors)
+        dv.append(f"min({looked_up})" if len(minors) > 1 else looked_up)
+    body.append(f"    return ({', '.join(fv + dv)})")
+    namespace = {}
+    exec(compile("\n".join(body), f"<padicsmith.density signature n={n}>", "exec"), namespace)
+    return namespace[f"signature_n{n}"]
+
+
+def _hodge_test(fv: tuple[int, ...], dv: tuple[int, ...]) -> tuple[bool, bool]:
     """(characterized, correspondent) from val_p(f_k) and Delta_k, k = 1..r.
 
     fv[k-1] is val_p(f_k), with _VAL_OF_ZERO for a vanishing f_k, and
@@ -225,160 +313,42 @@ def _hodge_test(fv: list[int], dv: list[int]) -> tuple[bool, bool]:
     return False, True
 
 
-def _classify2(rows, p: int, m: int, vt: list[int]):
-    (a, b), (c, d) = rows
-    d1 = min(vt[a], vt[b], vt[c], vt[d])
-    v1 = vt[a + d]
-    det = a * d - b * c
-    if det:
-        # f_2 = det, so only f_1 can miss; the Hodge polygon has a vertex
-        # at x = 1 unless e_1 = e_2
-        d2 = vt[det]
-        char = v1 == d1
-        return char, char or 2 * d1 == d2, (2, d1, d2 - d1), d2 < m
-    if d1 != _VAL_OF_ZERO:
-        # rank 1: both predicates reduce to val(trace) == min entry valuation
-        char = v1 == d1
-        return char, char, (1, d1), False
-    return True, True, (0,), False
+@lru_cache(maxsize=4096)
+def _outcome(sig: tuple[int, ...], m: int) -> tuple[bool, bool, tuple[int, ...], bool]:
+    """(characterized, correspondent, partition_key, det_filtered) of a signature.
 
-
-def _classify3(rows, p: int, m: int, vt: list[int]):
-    (a, b, c), (d, e, f), (g, h, i) = rows
-    d1 = min(vt[a], vt[b], vt[c], vt[d], vt[e], vt[f], vt[g], vt[h], vt[i])
-    if d1 == _VAL_OF_ZERO:
-        return True, True, (0,), False
-    # the principal 2 x 2 minors, then the rest of rows 1-2 for the det
-    p01, p02, p12 = a * e - b * d, a * i - c * g, e * i - f * h
-    x02, x01 = d * i - f * g, d * h - e * g
-    det = a * p12 - b * x02 + c * x01
-    d2 = min(
-        vt[p01], vt[a * f - c * d], vt[b * f - c * e],
-        vt[a * h - b * g], vt[p02], vt[b * i - c * h],
-        vt[x01], vt[x02], vt[p12],
-    )
-    v1 = vt[a + e + i]
-    # _hodge_test written out for r = 3 and r = 2
-    if det:
-        d3 = vt[det]
-        ok1 = v1 == d1
-        ok2 = vt[p01 + p02 + p12] == d2
-        corr = (ok1 or 2 * d1 == d2) and (ok2 or 2 * d2 == d1 + d3)
-        return ok1 and ok2, corr, (3, d1, d2 - d1, d3 - d2), d3 < m
-    if d2 != _VAL_OF_ZERO:
-        ok1 = v1 == d1
-        ok2 = vt[p01 + p02 + p12] == d2
-        return ok1 and ok2, ok2 and (ok1 or 2 * d1 == d2), (2, d1, d2 - d1), False
-    char = v1 == d1
-    return char, char, (1, d1), False
-
-
-_PAIRS4 = tuple(combinations(range(4), 2))
-_TRIPLES4 = tuple(combinations(range(4), 3))
-
-
-def _classify4(rows, p: int, m: int, vt: list[int]):
-    r0, r1, r2, r3 = rows
-    d1 = min(map(vt.__getitem__, (*r0, *r1, *r2, *r3)))
-    if d1 == _VAL_OF_ZERO:
-        return True, True, (0,), False
-    f1 = -(r0[0] + r1[1] + r2[2] + r3[3])
-    f2 = 0
-    for i0, i1 in _PAIRS4:
-        ra, rb = rows[i0], rows[i1]
-        f2 += ra[i0] * rb[i1] - ra[i1] * rb[i0]
-    f3 = 0
-    for sel in _TRIPLES4:
-        i, j, k = sel
-        ra, rb, rc = rows[i], rows[j], rows[k]
-        f3 += (
-            ra[i] * (rb[j] * rc[k] - rb[k] * rc[j])
-            - ra[j] * (rb[i] * rc[k] - rb[k] * rc[i])
-            + ra[k] * (rb[i] * rc[j] - rb[j] * rc[i])
-        )
-    f3 = -f3
-    det = 0
-    for j, sel in ((0, (1, 2, 3)), (1, (0, 2, 3)), (2, (0, 1, 3)), (3, (0, 1, 2))):
-        if r0[j]:
-            c0, c1, c2 = sel
-            sub = (
-                r1[c0] * (r2[c1] * r3[c2] - r2[c2] * r3[c1])
-                - r1[c1] * (r2[c0] * r3[c2] - r2[c2] * r3[c0])
-                + r1[c2] * (r2[c0] * r3[c1] - r2[c1] * r3[c0])
-            )
-            det += (sub if j % 2 == 0 else -sub) * r0[j]
-
-    # determinantal valuations; a unit minor ends the search at its level
-    d2 = _VAL_OF_ZERO
-    for i0, i1 in _PAIRS4:
-        ra, rb = rows[i0], rows[i1]
-        for j0, j1 in _PAIRS4:
-            v = vt[ra[j0] * rb[j1] - ra[j1] * rb[j0]]
-            if v < d2:
-                d2 = v
-        if d2 == 0:
-            break
-    d3 = _VAL_OF_ZERO
-    if d2 != _VAL_OF_ZERO:
-        for i, j, k in _TRIPLES4:
-            ra, rb, rc = rows[i], rows[j], rows[k]
-            for c0, c1, c2 in _TRIPLES4:
-                v = vt[
-                    ra[c0] * (rb[c1] * rc[c2] - rb[c2] * rc[c1])
-                    - ra[c1] * (rb[c0] * rc[c2] - rb[c2] * rc[c0])
-                    + ra[c2] * (rb[c0] * rc[c1] - rb[c1] * rc[c0])
-                ]
-                if v < d3:
-                    d3 = v
-            if d3 == 0:
-                break
-
-    fv = [vt[f1], vt[f2], vt[f3], vt[det]]
-    dv = [d1, d2, d3, vt[det]]
-    r = 4 if det else dv.index(_VAL_OF_ZERO)
-    del fv[r:], dv[r:]
+    The rank r is the first k with Delta_k = _VAL_OF_ZERO, n if there is
+    none; f_k vanishes for every k > r, so only k <= r enters the Hodge
+    test.  A box has few distinct signatures, hence the memo.
+    """
+    n = len(sig) // 2
+    dv = sig[n:]
+    r = dv.index(_VAL_OF_ZERO) if _VAL_OF_ZERO in dv else n
+    fv, dv = sig[:r], dv[:r]
     char, corr = _hodge_test(fv, dv)
-    key = (r, d1) + tuple(dv[k] - dv[k - 1] for k in range(1, r))
-    return char, corr, key, r == 4 and dv[3] < m
-
-
-def _classify_generic(rows, p: int, m: int, vt: list[int] | None):
-    # correctness fallback for sizes without a specialized path
-    A = IntMatrix.from_rows(rows)
-    rep = analyze(A, p)
-    filtered = rep.rank == A.n and sum(rep.profile) < m
-    return rep.p_characterized, rep.p_correspondent, (rep.rank, *rep.profile), filtered
-
-
-_CLASSIFIERS = {2: _classify2, 3: _classify3, 4: _classify4}
-
-
-def _classifier_for(p: int, m: int, n: int):
-    """The classifier for n x n matrices over [0, p^m), and the table it reads."""
-    if n in _CLASSIFIERS and _table_bound(p**m, n) <= _TABLE_LIMIT:
-        return _CLASSIFIERS[n], _valuation_table(p, m, n)
-    return _classify_generic, None
+    key = (r,) + tuple(b - a for a, b in zip((0,) + dv, dv))
+    return char, corr, key, r == n and dv[-1] < m
 
 
 def classify_residue_matrix(
     rows, p: int, m: int
 ) -> tuple[bool, bool, tuple[int, ...], bool]:
-    """Fast-path classification of one residue matrix.
+    """Classify one residue matrix from the valuations of its minors.
 
     Returns (characterized, correspondent, partition_key, det_filtered).
     The key is (rank, e_1, ..., e_rank), identifying the Smith form
     localized at p; det_filtered flags val_p(det) < m.  Semantics are
     identical to classify.analyze; the test suite pins the two
     implementations together.  Raises ValueError when an entry lies
-    outside [0, p^m).
+    outside [0, p^m), UnsupportedSizeError when n > 6.
     """
     q = p**m
     if min(map(min, rows)) < 0 or max(map(max, rows)) >= q:
         raise ValueError(
             f"residue matrix entries must lie in [0, {q}), got {[list(r) for r in rows]}"
         )
-    classifier, vt = _classifier_for(p, m, len(rows))
-    return classifier(rows, p, m, vt)
+    n = len(rows)
+    return _outcome(_signature(n)(rows, _valuation_table(p, m, n)), m)
 
 
 # ---------------------------------------------------------------------------
@@ -395,9 +365,9 @@ class _Tally:
     corr_filtered: int = 0
     partitions: dict = field(default_factory=dict)
 
-    def add_outcomes(self, outcomes: Counter, weight: int) -> None:
-        """Count classifier outcomes, each standing for weight matrices."""
-        for (char, corr, key, in_filter), count in outcomes.items():
+    def add_outcomes(self, outcomes: list, weight: int) -> None:
+        """Count (outcome, count) pairs, each matrix standing for weight."""
+        for (char, corr, key, in_filter), count in outcomes:
             w = weight * count
             self.total += w
             cell = self.partitions.setdefault(key, [0, 0])
@@ -453,7 +423,7 @@ def _tally_range(args: tuple[int, int, int, int, int]) -> _Tally:
     """
     p, m, n, lo, hi = args
     q = p**m
-    classifier, vt = _classifier_for(p, m, n)
+    signature, vt = _signature(n), _valuation_table(p, m, n)
     tally = _Tally()
 
     def count_block(groups, rest, window, weight):
@@ -463,10 +433,11 @@ def _tally_range(args: tuple[int, int, int, int, int]) -> _Tally:
             walk = chain.from_iterable(product(*group, *rest) for group in groups)
             return islice(walk, *window)
 
-        outcomes = Counter(map(classifier, matrices(), repeat(p), repeat(m), repeat(vt)))
-        if any(char and not corr for char, corr, _, _ in outcomes):
+        sigs = Counter(map(signature, matrices(), repeat(vt)))
+        outcomes = [(_outcome(sig, m), count) for sig, count in sigs.items()]
+        if any(char and not corr for (char, corr, _, _), _ in outcomes):
             for rows in matrices():
-                char, corr, _, _ = classifier(rows, p, m, vt)
+                char, corr, _, _ = _outcome(signature(rows, vt), m)
                 if char and not corr:
                     raise AssertionError(
                         f"characterized but not correspondent at p={p}, m={m}: "
@@ -730,79 +701,3 @@ def orbit_stabilizer_check(
         pair_count_per_member=expected,
         ok=ok,
     )
-
-
-# ---------------------------------------------------------------------------
-# polynomial root counting over a residue grid
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class IntPolynomial:
-    """Multivariate integer polynomial as a sorted tuple of (exponents, coeff)."""
-
-    nvars: int
-    terms: tuple[tuple[tuple[int, ...], int], ...]
-
-    @classmethod
-    def from_terms(cls, nvars: int, terms: dict[tuple[int, ...], int]) -> "IntPolynomial":
-        clean = {}
-        for exps, coeff in terms.items():
-            exps = tuple(int(e) for e in exps)
-            if len(exps) != nvars or any(e < 0 for e in exps):
-                raise ValueError(f"bad exponent tuple {exps} for {nvars} variables")
-            if coeff:
-                clean[exps] = clean.get(exps, 0) + int(coeff)
-        return cls(nvars=nvars, terms=tuple(sorted((e, c) for e, c in clean.items() if c)))
-
-    @property
-    def total_degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(sum(exps) for exps, _ in self.terms)
-
-    def evaluate(self, point: tuple[int, ...]) -> int:
-        acc = 0
-        for exps, coeff in self.terms:
-            term = coeff
-            for x, e in zip(point, exps):
-                if e:
-                    term *= x**e
-            acc += term
-        return acc
-
-
-@dataclass(frozen=True)
-class PRootReport:
-    p: int
-    ell: int
-    root_count: int
-    bound: int
-
-    @property
-    def ok(self) -> bool:
-        return self.root_count <= self.bound
-
-
-def proot_count_check(
-    g: IntPolynomial, p: int, ell: int, budget: int = DEFAULT_BUDGET
-) -> PRootReport:
-    """Count zeros of g mod p over the box [0, ell*p)^nvars against the
-    Schwartz-Zippel-style bound ell^nvars * deg * p^(nvars - 1).
-
-    The polynomial must survive reduction mod p; otherwise every point
-    is a root and the bound is meaningless.
-    """
-    _require_prime(p)
-    if ell < 1:
-        raise ValueError(f"ell must be >= 1, got {ell}")
-    if not g.terms or all(c % p == 0 for _, c in g.terms):
-        raise ValueError("polynomial vanishes mod p; the root bound does not apply")
-    side = ell * p
-    points = side**g.nvars
-    if points > budget:
-        raise BudgetExceededError(f"grid size {points} exceeds budget {budget}")
-    count = sum(
-        1 for point in product(range(side), repeat=g.nvars) if g.evaluate(point) % p == 0
-    )
-    bound = ell**g.nvars * g.total_degree * p ** (g.nvars - 1)
-    return PRootReport(p=p, ell=ell, root_count=count, bound=bound)

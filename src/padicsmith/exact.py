@@ -288,7 +288,7 @@ def _parse_matrix_json(text: str) -> IntMatrix:
     n, entries = obj["n"], obj["entries"]
     if type(n) is _IntLiteral:
         n = _parse_int(n, '"n"')
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise MatrixParseError(f'"n" must be a positive integer, got {n!r}')
     if not isinstance(entries, list) or len(entries) != n:
         raise MatrixParseError(f'"entries" must be a list of {n} rows')

@@ -20,7 +20,6 @@ from .exact import (
     _as_matrix,
     _det_rows,
     _require_prime,
-    rem_pm,
     val_p,
 )
 
@@ -234,17 +233,3 @@ def local_profile(A: MatrixLike, p: int) -> LocalSmithProfile:
         assert v is not INFINITY
         exps.append(v)
     return LocalSmithProfile(p=p, exponents=tuple(exps))
-
-
-def smith_profile_mod_pm(A: MatrixLike, p: int, m: int) -> LocalSmithProfile:
-    """Smith profile of A over Z/p^m Z.
-
-    Reduces A entrywise mod p^m, takes the integer Smith form of the
-    representative, and keeps the exponents below m; diagonal entries
-    with valuation >= m are zero in the quotient ring and drop out, so
-    the ring rank can be smaller than the integer rank.
-    """
-    _require_prime(p)
-    full = local_profile(rem_pm(A, p, m), p)
-    kept = tuple(e for e in full.exponents if e < m)
-    return LocalSmithProfile(p=p, exponents=kept)

@@ -27,7 +27,7 @@ from .exact import (
     rem_pm,
     val_p,
 )
-from .smith import local_profile, smith_form
+from .smith import local_profile
 
 
 class AttemptsExhaustedError(RuntimeError):
@@ -60,13 +60,6 @@ class TransformSample:
             "result": self.result.to_lists(),
             "report": self.report.to_json_obj(),
         }
-
-
-def smith_equivalent(A: MatrixLike) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """Unimodular P, Q and diagonal S with P @ A @ Q == S."""
-    sd = smith_form(A, want_transforms=True)
-    assert sd.P is not None and sd.Q is not None
-    return sd.P, sd.Q, IntMatrix.diagonal(sd.diag)
 
 
 def _random_matrix(rng: random.Random, n: int, bound: int) -> IntMatrix:

@@ -8,17 +8,15 @@ from padicsmith.classify import analyze
 from padicsmith.density import (
     Convention,
     DensityRow,
-    IntPolynomial,
     PartitionCell,
     classify_residue_matrix,
     enumerate_density,
     gl_count,
     gl_order,
     orbit_stabilizer_check,
-    proot_count_check,
     round_half_up_2dec,
 )
-from padicsmith.exact import BudgetExceededError, IntMatrix, det, val_p
+from padicsmith.exact import BudgetExceededError, IntMatrix, UnsupportedSizeError, det, val_p
 
 
 def test_rounding_renders_two_decimals():
@@ -54,6 +52,9 @@ def test_det_filtered_convention():
     assert (row.total, row.char_count, row.corr_count) == (6, 2, 6)
     filtered3 = enumerate_density(3, 1, 2, convention=Convention.DET_FILTERED)
     assert (filtered3.total, filtered3.char_count, filtered3.corr_count) == (48, 30, 48)
+    # one matrix, det 3: filtered only once m exceeds val_p(det)
+    assert not classify_residue_matrix([[2, 1], [1, 2]], 3, 1)[3]
+    assert classify_residue_matrix([[2, 1], [1, 2]], 3, 2)[3]
 
 
 def test_min_column_skips_classes_without_witnesses():
@@ -113,7 +114,8 @@ def _brute_force_row(p, m, n, convention):
 
 
 @pytest.mark.parametrize(
-    "cell", [(2, 1, 2), (2, 2, 2), (3, 1, 2), (2, 1, 3), (3, 1, 3), (3, 2, 1), (2, 1, 4), (5, 1, 2)]
+    "cell",
+    [(2, 1, 2), (2, 2, 2), (3, 1, 2), (2, 1, 3), (3, 1, 3), (3, 2, 1), (2, 1, 4), (5, 1, 2), (5, 7, 1)],
 )
 @pytest.mark.parametrize("convention", list(Convention))
 def test_weighted_enumeration_matches_brute_force(cell, convention):
@@ -123,15 +125,17 @@ def test_weighted_enumeration_matches_brute_force(cell, convention):
 def test_counterexample_names_its_matrix(monkeypatch):
     import padicsmith.density as density
 
-    real = density._classify2
+    real = density._outcome
+    # no other representative of (2,1,2) shares this signature
+    witness = density._signature(2)([[0, 1], [1, 1]], density._valuation_table(2, 1, 2))
 
-    def planted(rows, *args):
-        char, corr, key, in_filter = real(rows, *args)
-        if [list(r) for r in rows] == [[0, 1], [1, 1]]:
+    def planted(sig, m):
+        char, corr, key, in_filter = real(sig, m)
+        if sig == witness:
             return True, False, key, in_filter
         return char, corr, key, in_filter
 
-    monkeypatch.setitem(density._CLASSIFIERS, 2, planted)
+    monkeypatch.setattr(density, "_outcome", planted)
     with pytest.raises(AssertionError, match=r"\[\[0, 1\], \[1, 1\]\]"):
         enumerate_density(2, 1, 2)
 
@@ -164,10 +168,12 @@ def test_classifier_rejects_entries_outside_the_box():
     with pytest.raises(ValueError):
         classify_residue_matrix([[0, 1, 0], [1, -1, 0], [0, 0, 1]], 3, 1)
     assert classify_residue_matrix([[0, 3], [1, 1]], 2, 2) == (True, True, (2, 0, 0), True)
+    with pytest.raises(UnsupportedSizeError):
+        classify_residue_matrix([[0] * 7] * 7, 2, 1)
 
 
 def test_classifier_past_the_table_limit_matches_analyze():
-    # (101^3 - 1)^2 is far past any valuation table, so analyze answers
+    # (101^3 - 1)^2 is far past any valuation table, so valuations come from val_p on demand
     p, m = 101, 3
     boxes = ([[101, 0], [0, 101**2]], [[1, 2], [3, 4]], [[0, 0], [0, 0]], [[202, 101], [101, 303]])
     for rows in boxes:
@@ -179,7 +185,7 @@ def test_classifier_past_the_table_limit_matches_analyze():
 
 @settings(max_examples=200, deadline=None)
 @given(
-    st.sampled_from([(2, 2, 3), (3, 1, 3), (2, 1, 4), (5, 1, 3)]),
+    st.sampled_from([(2, 2, 3), (3, 1, 3), (2, 1, 4), (5, 1, 3), (2, 1, 5)]),
     st.integers(min_value=0, max_value=10**9),
 )
 def test_fast_classifier_matches_analyze_sampled(cell, pick):
@@ -237,29 +243,6 @@ def test_orbit_stabilizer_rejects_bad_profiles():
         orbit_stabilizer_check(2, 1, (1, 0))
     with pytest.raises(ValueError):
         orbit_stabilizer_check(2, 1, (0, 1))
-
-
-def test_root_count_bound_tight_for_linear():
-    g = IntPolynomial.from_terms(1, {(1,): 1})
-    rep = proot_count_check(g, 5, 2)
-    assert rep.root_count == 2
-    assert rep.bound == 2
-    assert rep.ok
-
-
-def test_root_count_two_variables():
-    # x*y has 2*l*p - l^2 zeros in the box; bound is l^2 * 2 * p
-    g = IntPolynomial.from_terms(2, {(1, 1): 1})
-    rep = proot_count_check(g, 3, 1)
-    assert rep.root_count == 5
-    assert rep.bound == 6
-    assert rep.ok
-
-
-def test_root_count_rejects_vanishing_polynomial():
-    g = IntPolynomial.from_terms(1, {(1,): 10})
-    with pytest.raises(ValueError):
-        proot_count_check(g, 5, 1)
 
 
 def test_min_over_single_cell():

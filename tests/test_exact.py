@@ -138,6 +138,8 @@ def test_json_round_trip(trident):
         ('{"entries": [[1]]}', '"n"'),
         ('{"n": 2, "entries": [[1, 2], [3, 4.5]]}', "not an integer"),
         ('{"n": 1, "entries": [[1], [2]]}', "1 rows"),
+        ('{"n": true, "entries": [[5]]}', '"n" must be a positive integer'),
+        ('{"n": false, "entries": []}', '"n" must be a positive integer'),
     ],
 )
 def test_parse_diagnostics(text, needle):

@@ -8,7 +8,6 @@ from padicsmith.smith import (
     determinantal_divisors,
     local_profile,
     smith_form,
-    smith_profile_mod_pm,
 )
 
 from conftest import HEPTA, HEPTA_FIXED, TRIDENT, TRIDENT_U, TRIDENT_V
@@ -118,12 +117,6 @@ def test_profile_totals(hepta):
     prof = local_profile(hepta, 7)
     assert prof.rank == 4
     assert prof.total == 4
-
-
-def test_profile_mod_pm(reducible):
-    assert smith_profile_mod_pm(reducible, 2, 3).exponents == (0, 2)
-    # mod 4 the second invariant factor collapses to zero
-    assert smith_profile_mod_pm(reducible, 2, 2).exponents == (0,)
 
 
 @settings(max_examples=60)
