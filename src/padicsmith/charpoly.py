@@ -40,10 +40,6 @@ class CharPoly:
                 return i
         return 0
 
-    def to_json_obj(self) -> list[int]:
-        """Monic coefficient list [1, f_1, ..., f_n], highest degree first."""
-        return [1, *self.coeffs]
-
 
 def _berkowitz(rows: list[list[int]] | tuple[tuple[int, ...], ...]) -> list[int]:
     """Monic coefficient vector [1, f_1, ..., f_n] of det(xI - A), no divisions.

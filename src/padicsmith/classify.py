@@ -14,7 +14,6 @@ from fractions import Fraction
 
 from .charpoly import char_poly
 from .exact import (
-    INFINITY,
     MatrixLike,
     Valuation,
     _as_matrix,

@@ -12,6 +12,7 @@ import json
 import random
 import sys
 from fractions import Fraction
+from itertools import groupby
 from pathlib import Path
 
 from .classify import analyze
@@ -33,8 +34,6 @@ from .exact import (
     val_p,
     valuation_to_json,
 )
-from .newton import newton_polygon
-from .charpoly import CharPoly, char_poly
 from .transform import (
     AttemptsExhaustedError,
     count_single_attempt_successes,
@@ -83,12 +82,12 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                 f"  {i + 1}  {_fmt_val(rep.f_vals[i]):>8}  "
                 f"{rep.delta_vals[i]:>12}  {rep.profile[i]:>3}"
             )
-    poly = char_poly(A)
-    r1 = poly.last_nonzero_index
-    if r1 > 0:
-        trunc = CharPoly(r1, poly.coeffs[:r1])
-        hull = newton_polygon(trunc, rep.p)
-        slopes = ", ".join(f"{s} x{length}" for s, length in hull.segments)
+    if rep.eig_vals.values:
+        # the sorted valuations are the polygon's slopes with multiplicity:
+        # each run of one value is one segment, its length the run length
+        slopes = ", ".join(
+            f"{s} x{len(list(run))}" for s, run in groupby(rep.eig_vals.values)
+        )
         print(f"newton polygon slopes: {slopes}")
     vals = ", ".join(str(v) for v in rep.eig_vals.values) or "(none)"
     print(f"eigenvalue valuations: {vals} (zero eigenvalues: {rep.eig_vals.zero_count})")
@@ -256,6 +255,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if all(ok for ok, _ in checks) else 1
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="padicsmith",
@@ -294,11 +300,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     pv = sub.add_parser("verify", help="run one property suite, one PASS/FAIL line per check")
     pv.add_argument("--suite", choices=tuple(VERIFY_SUITES), required=True)
-    pv.add_argument("--p", type=int, default=None)
-    pv.add_argument("--m", type=int, default=None)
-    pv.add_argument("--n", type=int, default=None)
-    pv.add_argument("--bound", type=int, default=None)
-    pv.add_argument("--trials", type=int, default=None)
+    # omitted means the suite's default; an explicit 0 or negative exits 2
+    for flag in ("--p", "--m", "--n", "--bound", "--trials"):
+        pv.add_argument(flag, type=positive_int, default=None)
     pv.add_argument("--seed", type=int, default=None)
     pv.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     pv.set_defaults(func=cmd_verify)

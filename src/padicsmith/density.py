@@ -54,7 +54,7 @@ from __future__ import annotations
 import os
 import sys
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
@@ -355,48 +355,6 @@ def classify_residue_matrix(
 # enumeration and tallies
 # ---------------------------------------------------------------------------
 
-@dataclass
-class _Tally:
-    total: int = 0
-    char_all: int = 0
-    corr_all: int = 0
-    filtered: int = 0
-    char_filtered: int = 0
-    corr_filtered: int = 0
-    partitions: dict = field(default_factory=dict)
-
-    def add_outcomes(self, outcomes: list, weight: int) -> None:
-        """Count (outcome, count) pairs, each matrix standing for weight."""
-        for (char, corr, key, in_filter), count in outcomes:
-            w = weight * count
-            self.total += w
-            cell = self.partitions.setdefault(key, [0, 0])
-            cell[0] += w
-            if char:
-                self.char_all += w
-                cell[1] += w
-            if corr:
-                self.corr_all += w
-            if in_filter:
-                self.filtered += w
-                if char:
-                    self.char_filtered += w
-                if corr:
-                    self.corr_filtered += w
-
-    def merge(self, other: "_Tally") -> None:
-        self.total += other.total
-        self.char_all += other.char_all
-        self.corr_all += other.corr_all
-        self.filtered += other.filtered
-        self.char_filtered += other.char_filtered
-        self.corr_filtered += other.corr_filtered
-        for key, (size, char) in other.partitions.items():
-            cell = self.partitions.setdefault(key, [0, 0])
-            cell[0] += size
-            cell[1] += char
-
-
 def _arrangements(diag: tuple[int, ...]) -> int:
     """Number of distinct orderings of a diagonal: n! / prod(multiplicity!)."""
     return factorial(len(diag)) // prod(factorial(c) for c in Counter(diag).values())
@@ -410,8 +368,11 @@ def _representative_count(q: int, n: int) -> int:
     return comb(q + n - 1, n) * comb(q + 1, 2) * q ** (n * n - n - 2)
 
 
-def _tally_range(args: tuple[int, int, int, int, int]) -> _Tally:
+def _tally_range(args: tuple[int, int, int, int, int]) -> Counter:
     """Classify the representatives with flat index in [lo, hi).
+
+    Returns a Counter of outcomes (characterized, correspondent,
+    partition_key, det_filtered), each counted with its weight.
 
     A representative has a non-decreasing diagonal and a01 <= a10.  Per
     sorted diagonal, the representatives with a01 < a10 come first, then
@@ -424,7 +385,7 @@ def _tally_range(args: tuple[int, int, int, int, int]) -> _Tally:
     p, m, n, lo, hi = args
     q = p**m
     signature, vt = _signature(n), _valuation_table(p, m, n)
-    tally = _Tally()
+    tally: Counter = Counter()
 
     def count_block(groups, rest, window, weight):
         # product(*group, *rest) for each group, chained, from window[0]
@@ -443,7 +404,8 @@ def _tally_range(args: tuple[int, int, int, int, int]) -> _Tally:
                         f"characterized but not correspondent at p={p}, m={m}: "
                         f"{[list(r) for r in rows]}"
                     )
-        tally.add_outcomes(outcomes, weight)
+        for outcome, count in outcomes:
+            tally[outcome] += weight * count
 
     if n == 1:
         count_block([([(x,) for x in range(q)],)], [], (lo, hi), 1)
@@ -527,32 +489,38 @@ def enumerate_density(
             for i in range(threads)
             if bounds[i] < bounds[i + 1]
         ]
-        tally = _Tally()
         with mp.Pool(threads) as pool:
-            for part in pool.map(_tally_range, jobs):
-                tally.merge(part)
-    if tally.total != total:
+            tally = sum(pool.map(_tally_range, jobs), Counter())
+    weight = sum(tally.values())
+    if weight != total:
         raise AssertionError(
-            f"representative weights sum to {tally.total}, expected {total} matrices"
+            f"representative weights sum to {weight}, expected {total} matrices"
         )
 
-    # expose each class by its localized Smith diagonal (p^e_1, ..., p^e_r, 0, ..)
+    # classes split the whole space under either convention; expose each by
+    # its localized Smith diagonal (p^e_1, ..., p^e_r, 0, ..)
+    classes: dict = {}
+    for (char, _, key, _), w in tally.items():
+        cell = classes.setdefault(key, [0, 0])
+        cell[0] += w
+        cell[1] += w if char else 0
     partitions = {}
-    for (r, *exps), (size, char) in sorted(tally.partitions.items()):
+    for (r, *exps), (size, char) in sorted(classes.items()):
         diag = tuple(p**e for e in exps) + (0,) * (n - r)
         partitions[diag] = PartitionCell(size=size, char_count=char)
-    if convention is Convention.ALL:
-        denom, char_count, corr_count = tally.total, tally.char_all, tally.corr_all
-    else:
-        denom, char_count, corr_count = tally.filtered, tally.char_filtered, tally.corr_filtered
+    counted = [
+        (char, corr, w)
+        for (char, corr, _, in_filter), w in tally.items()
+        if in_filter or convention is Convention.ALL
+    ]
     return DensityRow(
         p=p,
         m=m,
         n=n,
         convention=convention,
-        total=denom,
-        char_count=char_count,
-        corr_count=corr_count,
+        total=sum(w for _, _, w in counted),
+        char_count=sum(w for char, _, w in counted if char),
+        corr_count=sum(w for _, corr, w in counted if corr),
         partitions=partitions,
     )
 

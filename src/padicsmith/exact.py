@@ -417,9 +417,3 @@ def rank(A: MatrixLike) -> int:
 def valuation_to_json(v: Valuation) -> int | str:
     """JSON rendering of a valuation: plain int, or the string "inf"."""
     return "inf" if isinstance(v, _Infinity) else v
-
-
-def fraction_to_json(q: Fraction) -> str:
-    """JSON rendering of an exact rational as "num/den"."""
-    q = Fraction(q)
-    return f"{q.numerator}/{q.denominator}"

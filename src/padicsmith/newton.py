@@ -27,21 +27,26 @@ class EmptyPolygonError(ValueError):
 
 @dataclass(frozen=True)
 class NewtonPolygon:
-    """Lower convex hull data for one polynomial at one prime."""
+    """Lower convex hull data for one polynomial at one prime.
+
+    Only the points are stored; the hull vertices are derived from them,
+    so a polygon whose vertices disagree with its points cannot exist.
+    """
 
     p: int
     degree: int
     points: tuple[Point, ...]
-    vertices: tuple[Point, ...]
 
-    def __post_init__(self) -> None:
-        self._check_hull()
+    @property
+    def vertices(self) -> tuple[Point, ...]:
+        return tuple(_lower_hull(self.points))
 
     @property
     def segments(self) -> tuple[tuple[Fraction, int], ...]:
         """(slope, horizontal length) per hull edge, slopes strictly increasing."""
+        verts = self.vertices
         out = []
-        for (x0, y0), (x1, y1) in zip(self.vertices, self.vertices[1:]):
+        for (x0, y0), (x1, y1) in zip(verts, verts[1:]):
             out.append((Fraction(y1 - y0, x1 - x0), x1 - x0))
         return tuple(out)
 
@@ -53,38 +58,8 @@ class NewtonPolygon:
             out.extend([slope] * length)
         return tuple(out)
 
-    def _check_hull(self) -> None:
-        # structural sanity on every construction: the hull must start at
-        # the leading point, end at the trailing one, turn strictly upward,
-        # and support the whole point set from below
-        verts = self.vertices
-        assert verts[0] == self.points[0] and verts[-1] == self.points[-1]
-        segs = self.segments
-        for s0, s1 in zip(segs, segs[1:]):
-            assert s0[0] < s1[0], f"hull slopes not increasing: {segs}"
-        assert sum(l for _, l in segs) == self.degree
-        for x, y in self.points:
-            for (x0, y0), (x1, y1) in zip(verts, verts[1:]):
-                if x0 <= x <= x1:
-                    # y >= line through the two vertices, compared exactly
-                    assert (y - y0) * (x1 - x0) >= (y1 - y0) * (x - x0), (
-                        f"point ({x},{y}) lies below the hull"
-                    )
 
-    def to_json_obj(self) -> dict:
-        return {
-            "p": self.p,
-            "degree": self.degree,
-            "points": [list(pt) for pt in self.points],
-            "vertices": [list(v) for v in self.vertices],
-            "segments": [
-                {"slope": f"{s.numerator}/{s.denominator}", "length": l}
-                for s, l in self.segments
-            ],
-        }
-
-
-def _lower_hull(points: list[Point]) -> list[Point]:
+def _lower_hull(points: tuple[Point, ...]) -> list[Point]:
     # monotone chain, x already strictly increasing; collinear middle
     # points are dropped so vertices are minimal
     hull: list[Point] = []
@@ -120,8 +95,7 @@ def newton_polygon(f: CharPoly, p: int) -> NewtonPolygon:
             v = val_p(c, p)
             assert v is not INFINITY
             points.append((i, v))
-    hull = _lower_hull(points)
-    return NewtonPolygon(p=p, degree=n, points=tuple(points), vertices=tuple(hull))
+    return NewtonPolygon(p=p, degree=n, points=tuple(points))
 
 
 @dataclass(frozen=True)

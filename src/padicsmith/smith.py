@@ -56,14 +56,6 @@ class SmithData:
             out.append(acc)
         return tuple(out)
 
-    def to_json_obj(self) -> dict:
-        return {
-            "s": list(self.invariant_factors),
-            "delta": list(self.dets),
-            "P": self.P.to_lists() if self.P is not None else None,
-            "Q": self.Q.to_lists() if self.Q is not None else None,
-        }
-
 
 @dataclass(frozen=True)
 class LocalSmithProfile:

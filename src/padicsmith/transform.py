@@ -14,10 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .charpoly import char_poly
 from .classify import ClassificationReport, analyze
 from .exact import (
-    INFINITY,
     IntMatrix,
     MatrixLike,
     Valuation,
@@ -27,7 +25,6 @@ from .exact import (
     rem_pm,
     val_p,
 )
-from .smith import local_profile
 
 
 class AttemptsExhaustedError(RuntimeError):
@@ -210,24 +207,6 @@ class StabilityReport:
     def ok(self) -> bool:
         return self.profile_match and self.coeff_vals_match and self.characterized_preserved
 
-    def to_json_obj(self) -> dict:
-        from .exact import valuation_to_json
-
-        return {
-            "p": self.p,
-            "m": self.m,
-            "profile": list(self.profile),
-            "reduced_profile": list(self.reduced_profile),
-            "f_vals": [valuation_to_json(v) for v in self.f_vals],
-            "reduced_f_vals": [valuation_to_json(v) for v in self.reduced_f_vals],
-            "a_characterized": self.a_characterized,
-            "reduced_characterized": self.reduced_characterized,
-            "profile_match": self.profile_match,
-            "coeff_vals_match": self.coeff_vals_match,
-            "characterized_preserved": self.characterized_preserved,
-            "ok": self.ok,
-        }
-
 
 def verify_rem_stability(A: MatrixLike, p: int, m: int) -> StabilityReport:
     """Compare the p-local data of A and of A rem p^m.
@@ -246,19 +225,17 @@ def verify_rem_stability(A: MatrixLike, p: int, m: int) -> StabilityReport:
     if m <= vd:
         raise ValueError(f"m must exceed val_p(det A) = {vd}, got m = {m}")
 
-    reduced = rem_pm(A, p, m)
-    n = A.n
-    fa = char_poly(A)
-    fr = char_poly(reduced)
+    # both matrices are nonsingular (val_p of the reduced determinant is
+    # still vd < m), so each report's rank is n and its f_vals cover f_1..f_n
     rep_a = analyze(A, p)
-    rep_r = analyze(reduced, p)
+    rep_r = analyze(rem_pm(A, p, m), p)
     return StabilityReport(
         p=p,
         m=m,
-        profile=local_profile(A, p).exponents,
-        reduced_profile=local_profile(reduced, p).exponents,
-        f_vals=tuple(val_p(fa.f(i), p) for i in range(1, n + 1)),
-        reduced_f_vals=tuple(val_p(fr.f(i), p) for i in range(1, n + 1)),
+        profile=rep_a.profile,
+        reduced_profile=rep_r.profile,
+        f_vals=rep_a.f_vals,
+        reduced_f_vals=rep_r.f_vals,
         a_characterized=rep_a.p_characterized,
         reduced_characterized=rep_r.p_characterized,
     )

@@ -11,7 +11,7 @@ import padicsmith
 from padicsmith.cli import main
 from padicsmith.exact import IntMatrix
 
-from conftest import HEPTA, SKEWED, TRIDENT
+from conftest import CONVEXED, HEPTA, SKEWED, TRIDENT
 
 
 def write_matrix(tmp_path, rows, name="m.txt"):
@@ -41,6 +41,110 @@ def test_analyze_json(tmp_path, capsys):
     obj = json.loads(capsys.readouterr().out)
     assert code == 0
     assert obj["profile"] == [0, 1, 2]
+
+
+# Full analyze output, pinned byte for byte: (name, rows, p, exit code,
+# text stdout, JSON object whose indent=2 rendering is the JSON stdout).
+ANALYZE_GOLDEN = [
+    (
+        "trident", TRIDENT, 3, 0,
+        "p = 3, n = 3, rank = 3\n"
+        "  i  val(f_i)  val(delta_i)  e_i\n"
+        "  1         0             0    0\n"
+        "  2         1             1    1\n"
+        "  3         3             3    2\n"
+        "newton polygon slopes: 0 x1, 1 x1, 2 x1\n"
+        "eigenvalue valuations: 0, 1, 2 (zero eigenvalues: 0)\n"
+        "p-characterized: yes\n"
+        "p-correspondent: yes\n",
+        {"p": 3, "n": 3, "rank": 3, "f_vals": [0, 1, 3], "delta_vals": [0, 1, 3],
+         "profile": [0, 1, 2],
+         "eig_vals": {"p": 3, "values": ["0/1", "1/1", "2/1"], "zero_count": 0},
+         "p_characterized": True, "p_correspondent": True, "degenerate": False},
+    ),
+    (
+        "skewed", SKEWED, 2, 1,
+        "p = 2, n = 4, rank = 4\n"
+        "  i  val(f_i)  val(delta_i)  e_i\n"
+        "  1         0             0    0\n"
+        "  2         4             1    1\n"
+        "  3         3             2    1\n"
+        "  4         4             4    2\n"
+        "newton polygon slopes: 0 x1, 4/3 x3\n"
+        "eigenvalue valuations: 0, 4/3, 4/3, 4/3 (zero eigenvalues: 0)\n"
+        "p-characterized: no\n"
+        "p-correspondent: no\n",
+        {"p": 2, "n": 4, "rank": 4, "f_vals": [0, 4, 3, 4], "delta_vals": [0, 1, 2, 4],
+         "profile": [0, 1, 1, 2],
+         "eig_vals": {"p": 2, "values": ["0/1", "4/3", "4/3", "4/3"], "zero_count": 0},
+         "p_characterized": False, "p_correspondent": False, "degenerate": False},
+    ),
+    (
+        "convexed", CONVEXED, 3, 0,
+        "p = 3, n = 4, rank = 4\n"
+        "  i  val(f_i)  val(delta_i)  e_i\n"
+        "  1         0             0    0\n"
+        "  2         2             1    1\n"
+        "  3         2             2    1\n"
+        "  4         4             4    2\n"
+        "newton polygon slopes: 0 x1, 1 x2, 2 x1\n"
+        "eigenvalue valuations: 0, 1, 1, 2 (zero eigenvalues: 0)\n"
+        "p-characterized: no\n"
+        "p-correspondent: yes\n",
+        {"p": 3, "n": 4, "rank": 4, "f_vals": [0, 2, 2, 4], "delta_vals": [0, 1, 2, 4],
+         "profile": [0, 1, 1, 2],
+         "eig_vals": {"p": 3, "values": ["0/1", "1/1", "1/1", "2/1"], "zero_count": 0},
+         "p_characterized": False, "p_correspondent": True, "degenerate": False},
+    ),
+    (
+        # charpoly x^2 - 3x: the polygon is built on the truncation x - 3
+        "truncated", [[0, 1], [0, 3]], 3, 1,
+        "p = 3, n = 2, rank = 1\n"
+        "  i  val(f_i)  val(delta_i)  e_i\n"
+        "  1         1             0    0\n"
+        "newton polygon slopes: 1 x1\n"
+        "eigenvalue valuations: 1 (zero eigenvalues: 1)\n"
+        "p-characterized: no\n"
+        "p-correspondent: no\n",
+        {"p": 3, "n": 2, "rank": 1, "f_vals": [1], "delta_vals": [0], "profile": [0],
+         "eig_vals": {"p": 3, "values": ["1/1"], "zero_count": 1},
+         "p_characterized": False, "p_correspondent": False, "degenerate": False},
+    ),
+    (
+        # charpoly x^2: no polygon, so no slopes line
+        "nilpotent", [[0, 1], [0, 0]], 3, 1,
+        "p = 3, n = 2, rank = 1\n"
+        "  i  val(f_i)  val(delta_i)  e_i\n"
+        "  1       inf             0    0\n"
+        "eigenvalue valuations: (none) (zero eigenvalues: 2)\n"
+        "p-characterized: no\n"
+        "p-correspondent: no\n",
+        {"p": 3, "n": 2, "rank": 1, "f_vals": ["inf"], "delta_vals": [0], "profile": [0],
+         "eig_vals": {"p": 3, "values": [], "zero_count": 2},
+         "p_characterized": False, "p_correspondent": False, "degenerate": True},
+    ),
+    (
+        "zero", [[0, 0, 0]] * 3, 2, 0,
+        "p = 2, n = 3, rank = 0\n"
+        "eigenvalue valuations: (none) (zero eigenvalues: 3)\n"
+        "p-characterized: yes\n"
+        "p-correspondent: yes\n",
+        {"p": 2, "n": 3, "rank": 0, "f_vals": [], "delta_vals": [], "profile": [],
+         "eig_vals": {"p": 2, "values": [], "zero_count": 3},
+         "p_characterized": True, "p_correspondent": True, "degenerate": False},
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "rows,p,code,text,obj", [case[1:] for case in ANALYZE_GOLDEN], ids=[c[0] for c in ANALYZE_GOLDEN]
+)
+def test_analyze_output_golden(tmp_path, capsys, rows, p, code, text, obj):
+    path = write_matrix(tmp_path, rows)
+    assert main(["analyze", path, "-p", str(p)]) == code
+    assert capsys.readouterr().out == text
+    assert main(["analyze", path, "-p", str(p), "--format", "json"]) == code
+    assert capsys.readouterr().out == json.dumps(obj, indent=2) + "\n"
 
 
 def test_analyze_stdin(monkeypatch, capsys):
@@ -149,6 +253,19 @@ def test_verify_suites_pass_with_asserts_stripped(suite):
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "PASS" in proc.stdout
     assert "FAIL" not in proc.stdout
+
+
+@pytest.mark.parametrize("suite", ["theorem1", "gl-ratio", "rem-stability", "lemma33", "orbit"])
+def test_verify_rejects_nonpositive_flags(suite, capsys):
+    # an explicit 0 used to read as "flag not given" and run the defaults
+    for flag in ("--p", "--m", "--n", "--bound", "--trials"):
+        for value in ("0", "-3"):
+            with pytest.raises(SystemExit) as exc:
+                main(["verify", "--suite", suite, flag, value])
+            assert exc.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"argument {flag}: must be a positive integer, got {value}" in captured.err
 
 
 def test_verify_unknown_suite_is_usage_error(capsys):

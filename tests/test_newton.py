@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from padicsmith.charpoly import CharPoly, char_poly
-from padicsmith.exact import IntMatrix
+from padicsmith.exact import IntMatrix, val_p
 from padicsmith.newton import (
     EmptyPolygonError,
     NewtonPolygon,
@@ -38,16 +38,6 @@ def test_zero_constant_term_rejected():
         newton_polygon(f, 2)
 
 
-def test_invalid_hull_construction_fails_loudly():
-    with pytest.raises(AssertionError):
-        NewtonPolygon(
-            p=2,
-            degree=2,
-            points=((0, 0), (1, 0), (2, 2)),
-            vertices=((0, 0), (1, 1), (2, 2)),
-        )
-
-
 def test_eigenvalue_valuations_pinned(trident, skewed, convexed, hepta):
     assert eigenvalue_valuations(trident, 3).values == (0, 1, 2)
     assert eigenvalue_valuations(skewed, 2).values == (0, Fraction(4, 3), Fraction(4, 3), Fraction(4, 3))
@@ -71,6 +61,22 @@ def test_valuations_json_shape(skewed):
     assert obj["zero_count"] == 0
 
 
+def assert_lower_hull(poly: NewtonPolygon) -> None:
+    """The vertices are the lower convex hull of the points: they start at
+    the leading point and end at the trailing one, turn strictly upward,
+    span the degree, and support every point from below."""
+    verts = poly.vertices
+    assert verts[0] == poly.points[0] and verts[-1] == poly.points[-1]
+    slopes = [s for s, _ in poly.segments]
+    assert all(s0 < s1 for s0, s1 in zip(slopes, slopes[1:])), slopes
+    assert sum(length for _, length in poly.segments) == poly.degree
+    for x, y in poly.points:
+        for (x0, y0), (x1, y1) in zip(verts, verts[1:]):
+            if x0 <= x <= x1:
+                # y >= the line through the two vertices, compared exactly
+                assert (y - y0) * (x1 - x0) >= (y1 - y0) * (x - x0), (x, y)
+
+
 coeff = st.integers(min_value=-10**6, max_value=10**6)
 
 
@@ -83,17 +89,16 @@ def test_hull_properties_on_random_polynomials(coeffs, p):
     assert list(vals.values) == sorted(vals.values)
     if coeffs[-1] != 0:
         hull = newton_polygon(f, p)
-        # construction re-checks hull geometry; slope multiset must agree
+        assert_lower_hull(hull)
         assert tuple(hull.slopes) == vals.values
 
 
 @settings(max_examples=100)
 @given(st.lists(coeff.filter(bool), min_size=1, max_size=6), st.sampled_from([2, 3]))
 def test_total_rise_equals_constant_term_valuation(coeffs, p):
-    from padicsmith.exact import val_p
-
     f = CharPoly(len(coeffs), tuple(coeffs))
     hull = newton_polygon(f, p)
+    assert_lower_hull(hull)
     assert sum(s * l for s, l in hull.segments) == val_p(coeffs[-1], p)
 
 

@@ -1,0 +1,50 @@
+"""Smoke tests for scripts/: each runs as a subprocess and must exit 0.
+
+They catch a script importing a name the package no longer has.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import padicsmith
+from padicsmith.density import CSV_HEADER, enumerate_density
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def run_script(*argv: str) -> str:
+    env = dict(os.environ)
+    src = str(Path(padicsmith.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / argv[0]), *argv[1:]],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    return proc.stdout
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["worked_examples.py"],
+        ["transform_success_rates.py", "--primes", "101", "--trials", "50"],
+    ],
+)
+def test_script_exits_zero(argv):
+    assert run_script(*argv)
+
+
+def test_density_table_script_matches_library():
+    lines = run_script("reproduce_density_table.py", "--csv").splitlines()
+    assert lines[0] == CSV_HEADER
+    cells = [tuple(int(x) for x in line.split(",")[:3]) for line in lines[1:]]
+    assert len(cells) == 14
+    assert lines[1:] == [enumerate_density(*cell).csv_row() for cell in cells]

@@ -9,7 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 import padicsmith
 from padicsmith.classify import analyze
-from padicsmith.exact import IntMatrix, det, val_p
+from padicsmith.charpoly import char_poly
+from padicsmith.exact import IntMatrix, det, rem_pm, val_p
+from padicsmith.smith import local_profile
 from padicsmith.transform import (
     AttemptsExhaustedError,
     count_single_attempt_successes,
@@ -151,8 +153,16 @@ def test_rem_stability_holds_above_det_valuation(A, p):
     d = det(A)
     if d == 0:
         return
-    rep = verify_rem_stability(A, p, val_p(d, p) + 1)
+    m = val_p(d, p) + 1
+    rep = verify_rem_stability(A, p, m)
     assert rep.ok
+    # the report's fields are read off analyze; pin them to direct computations
+    reduced = rem_pm(A, p, m)
+    sides = ((A, rep.profile, rep.f_vals), (reduced, rep.reduced_profile, rep.reduced_f_vals))
+    for M, profile, f_vals in sides:
+        f = char_poly(M)
+        assert profile == local_profile(M, p).exponents
+        assert f_vals == tuple(val_p(f.f(i), p) for i in range(1, A.n + 1))
 
 
 @settings(max_examples=20, deadline=None)
