@@ -33,7 +33,7 @@ CELLS = [
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--threads", type=int, default=None)
+    ap.add_argument("--threads", type=int, default=1)
     ap.add_argument("--csv", action="store_true", help="machine-readable output")
     ap.add_argument(
         "--convention",

@@ -149,7 +149,7 @@ def cmd_transform(args: argparse.Namespace) -> int:
 def _check_theorem1(args: argparse.Namespace) -> list[tuple[bool, str]]:
     p, m, n = args.p or 2, args.m or 1, args.n or 2
     try:
-        row = enumerate_density(p, m, n, budget=args.budget)
+        row = enumerate_density(p, m, n, threads=args.threads, budget=args.budget)
     except AssertionError as exc:
         return [(False, f"theorem1 p={p} m={m} n={n}: counterexample found ({exc})")]
     return [
@@ -285,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=Convention.ALL.value,
     )
     pd.add_argument("--format", choices=("text", "csv", "json"), default="text")
-    pd.add_argument("--threads", type=int, default=None)
+    pd.add_argument("--threads", type=positive_int, default=1)
     pd.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     pd.set_defaults(func=cmd_density)
 
@@ -294,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     pt.add_argument("-p", "--prime", type=int, required=True)
     pt.add_argument("--bound", type=int, default=None, help="entry range, multiple of p")
     pt.add_argument("--seed", type=int, default=None, help="generated and logged when omitted")
-    pt.add_argument("--max-attempts", type=int, default=64)
+    pt.add_argument("--max-attempts", type=positive_int, default=64)
     pt.add_argument("--format", choices=("text", "json"), default="text")
     pt.set_defaults(func=cmd_transform)
 
@@ -304,6 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     for flag in ("--p", "--m", "--n", "--bound", "--trials"):
         pv.add_argument(flag, type=positive_int, default=None)
     pv.add_argument("--seed", type=int, default=None)
+    pv.add_argument("--threads", type=positive_int, default=1, help="theorem1 worker processes")
     pv.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     pv.set_defaults(func=cmd_verify)
 

@@ -51,7 +51,6 @@ characterized when that holds at every k.
 
 from __future__ import annotations
 
-import os
 import sys
 from collections import Counter
 from dataclasses import dataclass
@@ -66,7 +65,8 @@ from .smith import local_profile
 
 DEFAULT_BUDGET = 2**30
 
-THREADS_ENV_VAR = "PADICSMITH_THREADS"
+# gl_count brute-forces the closed form up to this many residue matrices
+GL_EXHAUSTIVE_BUDGET = 2**20
 
 CSV_HEADER = "p,m,n,pct_char,pct_corr,min_pct_char,total,char_count,corr_count"
 
@@ -439,21 +439,12 @@ def _tally_range(args: tuple[int, int, int, int, int]) -> Counter:
     return tally
 
 
-def _resolve_threads(threads: int | None) -> int:
-    if threads is None:
-        env = os.environ.get(THREADS_ENV_VAR)
-        threads = int(env) if env else 1
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
-    return threads
-
-
 def enumerate_density(
     p: int,
     m: int,
     n: int,
     convention: Convention = Convention.ALL,
-    threads: int | None = None,
+    threads: int = 1,
     budget: int = DEFAULT_BUDGET,
 ) -> DensityRow:
     """Count every n x n matrix over [0, p^m) and tally the densities.
@@ -461,8 +452,9 @@ def enumerate_density(
     One representative per sorted diagonal is classified and weighted by
     its number of diagonal arrangements (see the module docstring).  The
     representatives split into contiguous ranges of one flat index
-    (sorted diagonal, off-diagonal digits) merged deterministically, so
-    the result is independent of thread count.  Raises
+    (sorted diagonal, off-diagonal digits) merged in job order, so the
+    result, and the witness named by a counterexample, is independent of
+    thread count.  Raises
     BudgetExceededError when the full space (p^m)^(n^2) is larger than
     budget.
     """
@@ -475,7 +467,8 @@ def enumerate_density(
         raise BudgetExceededError(
             f"enumeration space (p^m)^(n^2) = {total} exceeds budget {budget}"
         )
-    threads = _resolve_threads(threads)
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
 
     reps = _representative_count(p**m, n)
     if threads == 1 or total < 4096:
@@ -490,7 +483,9 @@ def enumerate_density(
             if bounds[i] < bounds[i + 1]
         ]
         with mp.Pool(threads) as pool:
-            tally = sum(pool.map(_tally_range, jobs), Counter())
+            # imap hands results back in job order, so the first failing
+            # job in flat-index order raises, naming the serial witness
+            tally = sum(pool.imap(_tally_range, jobs), Counter())
     weight = sum(tally.values())
     if weight != total:
         raise AssertionError(
@@ -556,10 +551,10 @@ def gl_order(p: int, m: int, n: int) -> int:
     return p ** ((m - 1) * n * n) * base
 
 
-def gl_count(p: int, m: int, n: int, exhaustive_budget: int = 2**20) -> GLCountReport:
+def gl_count(p: int, m: int, n: int) -> GLCountReport:
     """Order of GL_n(Z/p^m Z); a full-space/GL ratio of 4 or more raises.
 
-    When the residue space fits in exhaustive_budget the closed form is
+    When the residue space fits in GL_EXHAUSTIVE_BUDGET the closed form is
     verified by brute-force counting of invertible matrices.
     """
     order = gl_order(p, m, n)
@@ -568,7 +563,7 @@ def gl_count(p: int, m: int, n: int, exhaustive_budget: int = 2**20) -> GLCountR
     if not ratio < 4:
         raise AssertionError(f"GL density ratio {ratio} is not below 4")
     checked = False
-    if space <= exhaustive_budget:
+    if space <= GL_EXHAUSTIVE_BUDGET:
         count = sum(
             1
             for rows in product(product(range(p**m), repeat=n), repeat=n)

@@ -203,9 +203,6 @@ class IntMatrix:
             ),
         )
 
-    def entry(self, i: int, j: int) -> int:
-        return self.rows[i][j]
-
     def to_lists(self) -> list[list[int]]:
         return [list(r) for r in self.rows]
 

@@ -9,8 +9,9 @@ a separate fix-up pass.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import gcd
+from operator import mul
 
 from .exact import (
     INFINITY,
@@ -49,12 +50,7 @@ class SmithData:
     @property
     def dets(self) -> tuple[int, ...]:
         """Determinantal divisors as cumulative products of invariant factors."""
-        out = []
-        acc = 1
-        for s in self.invariant_factors:
-            acc *= s
-            out.append(acc)
-        return tuple(out)
+        return tuple(accumulate(self.invariant_factors, mul))
 
 
 @dataclass(frozen=True)
@@ -80,43 +76,16 @@ def smith_form(A: MatrixLike, want_transforms: bool = False) -> SmithData:
     Pivots are chosen as the smallest nonzero absolute value in the
     trailing submatrix, ties broken row-major.  With want_transforms the
     returned P, Q satisfy P @ A @ Q == diag(s) and det P, det Q == +-1.
+    They ride the one elimination: A is extended by I on the right, which
+    row operations turn into P, and by I below, which column operations
+    turn into Q.
     """
     A = _as_matrix(A)
     n = A.n
     a = A.to_lists()
-    P = IntMatrix.identity(n).to_lists() if want_transforms else None
-    Q = IntMatrix.identity(n).to_lists() if want_transforms else None
-
-    def swap_rows(i: int, j: int) -> None:
-        a[i], a[j] = a[j], a[i]
-        if P is not None:
-            P[i], P[j] = P[j], P[i]
-
-    def swap_cols(i: int, j: int) -> None:
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        if Q is not None:
-            for row in Q:
-                row[i], row[j] = row[j], row[i]
-
-    def row_sub(i: int, j: int, q: int) -> None:
-        # row_i -= q * row_j
-        a[i] = [x - q * y for x, y in zip(a[i], a[j])]
-        if P is not None:
-            P[i] = [x - q * y for x, y in zip(P[i], P[j])]
-
-    def col_sub(i: int, j: int, q: int) -> None:
-        # col_i -= q * col_j
-        for row in a:
-            row[i] -= q * row[j]
-        if Q is not None:
-            for row in Q:
-                row[i] -= q * row[j]
-
-    def row_add(i: int, j: int) -> None:
-        a[i] = [x + y for x, y in zip(a[i], a[j])]
-        if P is not None:
-            P[i] = [x + y for x, y in zip(P[i], P[j])]
+    if want_transforms:
+        eye = IntMatrix.identity(n).to_lists()
+        a = [row + e for row, e in zip(a, eye)] + eye
 
     for t in range(n):
         while True:
@@ -130,50 +99,42 @@ def smith_form(A: MatrixLike, want_transforms: bool = False) -> SmithData:
             if best is None:
                 break
             _, bi, bj = best
-            if bi != t:
-                swap_rows(t, bi)
+            a[t], a[bi] = a[bi], a[t]
             if bj != t:
-                swap_cols(t, bj)
+                for row in a:
+                    row[t], row[bj] = row[bj], row[t]
             piv = a[t][t]
+            rest = range(t + 1, n)
             changed = False
-            for i in range(t + 1, n):
+            for i in rest:
                 if a[i][t]:
-                    row_sub(i, t, a[i][t] // piv)
-                    if a[i][t]:
-                        changed = True
-            for j in range(t + 1, n):
+                    q = a[i][t] // piv
+                    a[i] = [x - q * y for x, y in zip(a[i], a[t])]
+                    changed = changed or a[i][t] != 0
+            for j in rest:
                 if a[t][j]:
-                    col_sub(j, t, a[t][j] // piv)
-                    if a[t][j]:
-                        changed = True
+                    q = a[t][j] // piv
+                    for row in a:
+                        row[j] -= q * row[t]
+                    changed = changed or a[t][j] != 0
             if changed:
                 continue
-            # row and column are clear; make the pivot divide the rest
-            witness = None
-            for i in range(t + 1, n):
-                for j in range(t + 1, n):
-                    if a[i][j] % piv:
-                        witness = i
-                        break
-                if witness is not None:
-                    break
+            # row and column are clear; make the pivot divide the rest by
+            # adding a row holding an entry it does not divide
+            witness = next((i for i in rest if any(a[i][j] % piv for j in rest)), None)
             if witness is None:
                 break
-            row_add(t, witness)
+            a[t] = [x + y for x, y in zip(a[t], a[witness])]
         if a[t][t] == 0:
             break
         if a[t][t] < 0:
             a[t] = [-x for x in a[t]]
-            if P is not None:
-                P[t] = [-x for x in P[t]]
 
     diag = tuple(a[i][i] for i in range(n))
-    return SmithData(
-        n=n,
-        diag=diag,
-        P=IntMatrix.from_rows(P) if P is not None else None,
-        Q=IntMatrix.from_rows(Q) if Q is not None else None,
-    )
+    if not want_transforms:
+        return SmithData(n=n, diag=diag)
+    P = IntMatrix.from_rows([row[n:] for row in a[:n]])
+    return SmithData(n=n, diag=diag, P=P, Q=IntMatrix.from_rows(a[n:]))
 
 
 def _minor_gcd_dets(A: IntMatrix) -> tuple[int, ...]:

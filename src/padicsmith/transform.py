@@ -26,6 +26,9 @@ from .exact import (
     val_p,
 )
 
+# meets_failure_bound allows the observed rate this many binomial sigmas
+FAILURE_BOUND_SIGMAS = 3
+
 
 class AttemptsExhaustedError(RuntimeError):
     """sample_correspondent ran out of attempts; carries the last report seen."""
@@ -159,18 +162,18 @@ def single_attempt_failure_bound(n: int, p: int) -> Fraction:
     return Fraction(n * n + 3 * n, p)
 
 
-def meets_failure_bound(successes: int, trials: int, n: int, p: int, sigmas: int = 3) -> bool:
+def meets_failure_bound(successes: int, trials: int, n: int, p: int) -> bool:
     """Exact test that the observed success rate clears 1 - (n^2+3n)/p - k sigma.
 
     sigma is the binomial standard deviation sqrt(q(1-q)/trials) at the
-    bound failure rate q.  Compared by squaring, so the whole check stays
-    in rational arithmetic.
+    bound failure rate q, and k is FAILURE_BOUND_SIGMAS.  Compared by
+    squaring, so the whole check stays in rational arithmetic.
     """
     q = single_attempt_failure_bound(n, p)
     shortfall = 1 - q - Fraction(successes, trials)
     if shortfall <= 0:
         return True
-    return shortfall * shortfall <= Fraction(sigmas * sigmas) * q * (1 - q) / trials
+    return shortfall * shortfall <= Fraction(FAILURE_BOUND_SIGMAS**2) * q * (1 - q) / trials
 
 
 @dataclass(frozen=True)

@@ -258,7 +258,7 @@ def test_verify_suites_pass_with_asserts_stripped(suite):
 @pytest.mark.parametrize("suite", ["theorem1", "gl-ratio", "rem-stability", "lemma33", "orbit"])
 def test_verify_rejects_nonpositive_flags(suite, capsys):
     # an explicit 0 used to read as "flag not given" and run the defaults
-    for flag in ("--p", "--m", "--n", "--bound", "--trials"):
+    for flag in ("--p", "--m", "--n", "--bound", "--trials", "--threads"):
         for value in ("0", "-3"):
             with pytest.raises(SystemExit) as exc:
                 main(["verify", "--suite", suite, flag, value])
@@ -266,6 +266,31 @@ def test_verify_rejects_nonpositive_flags(suite, capsys):
             captured = capsys.readouterr()
             assert captured.out == ""
             assert f"argument {flag}: must be a positive integer, got {value}" in captured.err
+
+
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_nonpositive_counts_are_usage_errors(tmp_path, capsys, value):
+    # --max-attempts 0 used to make no attempt and exit 1
+    path = write_matrix(tmp_path, HEPTA)
+    for argv in (
+        ["density", "-p", "2", "-m", "1", "-n", "2", "--threads"],
+        ["transform", path, "-p", "7", "--max-attempts"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [value])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument {argv[-1]}: must be a positive integer, got {value}" in captured.err
+
+
+def test_verify_theorem1_threads_match_serial(capsys):
+    argv = ["verify", "--suite", "theorem1", "--p", "3", "--m", "2", "--n", "2"]
+    assert main(argv) == 0
+    serial = capsys.readouterr().out
+    assert serial == "PASS theorem1 p=3 m=2 n=2: 6561 matrices, 0 characterized-but-not-correspondent\n"
+    assert main(argv + ["--threads", "2"]) == 0
+    assert capsys.readouterr().out == serial
 
 
 def test_verify_unknown_suite_is_usage_error(capsys):

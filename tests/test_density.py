@@ -1,3 +1,5 @@
+import multiprocessing
+import time
 from fractions import Fraction
 from itertools import product
 
@@ -138,6 +140,40 @@ def test_counterexample_names_its_matrix(monkeypatch):
     monkeypatch.setattr(density, "_outcome", planted)
     with pytest.raises(AssertionError, match=r"\[\[0, 1\], \[1, 1\]\]"):
         enumerate_density(2, 1, 2)
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork", reason="workers must inherit the planted functions"
+)
+def test_counterexample_witness_is_independent_of_worker_count(monkeypatch):
+    # (3,2,2) has 45 sorted diagonals of 45 representatives each.  Every
+    # matrix on the diagonals (1,6), (1,7) and (2,7) is planted as a
+    # counterexample.  (1,6) is the 15th diagonal, late in job 0 for 2 and
+    # 3 workers, while job 1 opens on (2,7) for 2 workers and on (1,7) for
+    # 3.  Each signature sleeps, so job 1 fails long before job 0 does;
+    # the witness must still be the first planted matrix in flat order.
+    import padicsmith.density as density
+
+    real_signature, real_outcome = density._signature, density._outcome
+    planted = {(1, 6), (1, 7), (2, 7)}
+
+    def slow_signature(n):
+        signature = real_signature(n)
+
+        def sig(rows, vt):
+            time.sleep(0.0005)
+            return "planted" if (rows[0][0], rows[1][1]) in planted else signature(rows, vt)
+
+        return sig
+
+    def outcome(sig, m):
+        return (True, False, (2, 0, 0), True) if sig == "planted" else real_outcome(sig, m)
+
+    monkeypatch.setattr(density, "_signature", slow_signature)
+    monkeypatch.setattr(density, "_outcome", outcome)
+    for threads in (1, 2, 3):
+        with pytest.raises(AssertionError, match=r"m=2: \[\[1, 0\], \[1, 6\]\]$"):
+            enumerate_density(3, 2, 2, threads=threads)
 
 
 def test_budget_guard():

@@ -48,3 +48,4 @@ def test_density_table_script_matches_library():
     cells = [tuple(int(x) for x in line.split(",")[:3]) for line in lines[1:]]
     assert len(cells) == 14
     assert lines[1:] == [enumerate_density(*cell).csv_row() for cell in cells]
+    assert run_script("reproduce_density_table.py", "--csv", "--threads", "2").splitlines() == lines

@@ -1,16 +1,18 @@
 from math import gcd
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from padicsmith.exact import IntMatrix, det, rank
 from padicsmith.smith import (
     LocalSmithProfile,
+    SmithData,
     determinantal_divisors,
     local_profile,
     smith_form,
 )
 
-from conftest import HEPTA, HEPTA_FIXED, TRIDENT, TRIDENT_U, TRIDENT_V
+from conftest import CONVEXED, HEPTA, HEPTA_FIXED, REDUCIBLE, SKEWED, TRIDENT, TRIDENT_U, TRIDENT_V
 
 entries = st.integers(min_value=-30, max_value=30)
 
@@ -48,6 +50,69 @@ def test_transforms_witness_the_form(convexed):
     assert det(data.Q) in (1, -1)
 
 
+# smith_form(A, want_transforms=True) pinned entry for entry:
+# (name, A, diag, P, Q).  The pivot rule fixes all three, so any change
+# to the order of the elimination's operations shows here.
+SMITH_GOLDEN = [
+    (
+        "trident", TRIDENT, (1, 3, 9),
+        [[-1, 0, 0], [0, 0, 1], [10, -1, -7]],
+        [[0, 1, -1], [1, 3, 0], [0, 0, 1]],
+    ),
+    (
+        "skewed", SKEWED, (1, 2, 2, 4),
+        [[1, 0, 0, 0], [2, 5, -1, 0], [1, -38, 13, -4], [-15, 9, -14, 9]],
+        [[16, -30, -153, 381], [-5, 1, 36, -94], [0, 1, -9, 24], [1, 2, 1, -1]],
+    ),
+    (
+        "convexed", CONVEXED, (1, 3, 3, 9),
+        [[-1, 0, 0, 0], [5341, -1666, 0, 1], [1485106, -463259, -26, 278], [8726721, -2722069, 41, 1634]],
+        [[0, 2064, -17120, 8737], [41, -20721, 2135, -1052], [1, -2, 1042, -532], [0, 0, 1089, -556]],
+    ),
+    (
+        "hepta", HEPTA, (1, 7, 7, 49),
+        [[-26, 0, -1, 4], [18, -1, 2, -1], [625, -34, 65, -37], [2046, -109, 221, -122]],
+        [[1, -230, 259, -536], [0, -8, -84, 179], [0, 0, -71, 151], [0, 1, -24, 51]],
+    ),
+    (
+        "hepta_fixed", HEPTA_FIXED, (1, 7, 7, 852992),
+        [[0, -4, 1, 0], [138, 5392045082, -1348012378, 3], [-132466473, -5175728598663265, 1293933212757254, -2879789], [1093125164, 42710574549793833, -10677652410173933, 23764276]],
+        [[-1, 284528671, 12206863, 180250518918], [-23779, -7601487, -326103, -4815343213], [0, 10042, 27, 398546], [1, -5542962, -237738, -3510516795]],
+    ),
+    (
+        "reducible", REDUCIBLE, (1, 28),
+        [[1, 0], [16, -1]],
+        [[1, -2], [-4, 9]],
+    ),
+    (
+        "zero3", [[0, 0, 0]] * 3, (0, 0, 0),
+        [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+        [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+    ),
+    (
+        "rank2", [[1, 2, 3], [2, 4, 6], [1, 1, 1]], (1, 1, 0),
+        [[1, 0, 0], [1, 0, -1], [-2, 1, 0]],
+        [[1, -2, 1], [0, 1, -2], [0, 0, 1]],
+    ),
+    (
+        "neg", [[-5]], (5,),
+        [[-1]],
+        [[1]],
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "rows,diag,P,Q", [case[1:] for case in SMITH_GOLDEN], ids=[c[0] for c in SMITH_GOLDEN]
+)
+def test_transforms_golden(rows, diag, P, Q):
+    data = smith_form(rows, want_transforms=True)
+    assert data.diag == diag
+    assert data.P == IntMatrix.from_rows(P)
+    assert data.Q == IntMatrix.from_rows(Q)
+    assert smith_form(rows) == SmithData(n=len(rows), diag=diag)
+
+
 def test_determinantal_divisors_pinned(convexed, trident):
     assert determinantal_divisors(convexed) == (1, 3, 9, 81)
     assert determinantal_divisors(trident) == (1, 3, 27)
@@ -64,6 +129,7 @@ def test_smith_form_properties(A):
     data = smith_form(A, want_transforms=True)
     S = IntMatrix.diagonal(data.diag)
 
+    assert smith_form(A).diag == data.diag
     assert data.P @ A @ data.Q == S
     assert det(data.P) in (1, -1)
     assert det(data.Q) in (1, -1)
