@@ -11,6 +11,7 @@ import argparse
 import sys
 import time
 
+from padicsmith.cli import positive_int
 from padicsmith.density import CSV_HEADER, Convention, enumerate_density
 
 CELLS = [
@@ -33,7 +34,7 @@ CELLS = [
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--threads", type=int, default=1)
+    ap.add_argument("--threads", type=positive_int, default=1)
     ap.add_argument("--csv", action="store_true", help="machine-readable output")
     ap.add_argument(
         "--convention",

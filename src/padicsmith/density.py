@@ -47,6 +47,37 @@ polygon equals that polygon exactly when the points include each of its
 vertices.  So the matrix is correspondent exactly when val_p(f_r) =
 Delta_r and val_p(f_k) = Delta_k at every k < r with e_k < e_{k+1}, and
 characterized when that holds at every k.
+
+For m >= 2 the walk runs over residue classes, not matrices.  The
+matrices congruent to one A0 = A mod p, its p^((m-1) n^2) lifts, form a
+class, and the classes are walked over the representatives of the
+(p, 1, n) box with the same weights: P(A0 + pB)P^T and transposition map
+the lifts of A0 one-to-one onto the lifts of its image.  Each f_k mod p
+and the rank of A0 mod p (the number of Delta_k equal to 0) are read
+off A0's own signature, and split the classes into strata:
+
+- rank n: every Delta_k is 0, so every lift has key (n, 0, ..., 0), lies
+  in the det filter and is correspondent; it is characterized exactly
+  when f_1, ..., f_{n-1} are units (f_n = +-det is one).  The class is
+  counted whole.
+- rank n - 1: e_1 = ... = e_{n-1} = 0 on every lift, so k = n - 1 is the
+  only possible Hodge vertex, and f_n = +-det meets Delta_n whenever the
+  lift is nonsingular.  The class is characterized exactly when
+  f_1, ..., f_{n-1} are units and correspondent exactly when f_{n-1} is;
+  only the key needs v(det).  det is affine in an entry whose cofactor c
+  is a unit, det = d + p t c over that entry's lifts t < p^(m-1) with
+  d = 0 mod p, so det mod p^m meets each multiple of p once: per lift of
+  the other n^2 - 1 entries, (p-1) p^(m-1-j) lifts have v(det) = j for
+  1 <= j < m, and the one with det = 0 mod p^m takes its key from its
+  exact det, (n, 0, ..., 0, e) with e >= m or (n-1, 0, ..., 0) for 0.
+- A0 = 0: the lifts are pB with B over [0, p^(m-1)).  Scaling by p adds
+  1 to every Smith exponent and k to v(f_k), which keeps the Hodge test,
+  so this class is the tally of cell (p, m-1, n) with each exponent
+  raised by 1.
+- any other rank: every lift is classified by its signature.
+
+The det filter is read off the key, val_p(det) = e_1 + ... + e_n, so it
+need not be tallied separately.
 """
 
 from __future__ import annotations
@@ -56,7 +87,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import chain, combinations, combinations_with_replacement, islice, product, repeat
 from math import comb, factorial, prod
 
@@ -231,6 +262,36 @@ def _valuation_table(p: int, m: int, n: int) -> list[int] | _LazyValuations:
     return table
 
 
+def _minor(R, C) -> str:
+    """Source name of the minor on rows R and columns C: m<row mask>_<column mask>."""
+    return f"m{sum(1 << i for i in R)}_{sum(1 << j for j in C)}"
+
+
+def _laplace(R: tuple[int, ...], C: tuple[int, ...]) -> str:
+    """Source of the minor on rows R, columns C (k >= 2 of each) expanded
+    along row R[-1]: entry (R[-1], c) times the minor on R[:-1] and C
+    without c, sign (-1)^(k-1+t) for the t-th column c."""
+    terms = ([], [])
+    for t, c in enumerate(C):
+        terms[(len(C) - 1 + t) % 2].append(f"{_minor(R[-1:], (c,))} * {_minor(R[:-1], C[:t] + C[t + 1 :])}")
+    plus, minus = terms
+    return " + ".join(plus) + "".join(f" - {t}" for t in minus)
+
+
+def _compile(name: str, n: int, args: str, lines: list[str]):
+    """Compile straight-line source over the entries of an n x n matrix.
+
+    Every entry (i, j) is bound to the 1 x 1 minor m<1 << i>_<1 << j>,
+    unpacked from the first argument, rows.
+    """
+    idx = range(n)
+    unpack = ", ".join("(" + ", ".join(_minor((i,), (j,)) for j in idx) + ",)" for i in idx)
+    source = "\n".join([f"def {name}({args}):", f"    {unpack}, = rows", *lines])
+    namespace = {}
+    exec(compile(source, f"<padicsmith.density {name}>", "exec"), namespace)
+    return namespace[name]
+
+
 @lru_cache(maxsize=None)
 def _signature(n: int):
     """The signature function sig(rows, vt) for n x n matrices.
@@ -245,48 +306,47 @@ def _signature(n: int):
     The recurrence is emitted as straight-line source and compiled once
     per n: the same steps as a loop over an index plan of minor slots
     took about 7 times as long per matrix at n = 3 and 4 (CPython
-    3.11).  A minor is named
-    m<row mask>_<column mask>; the source holds nothing but such names,
-    integer indices and operators.  Raises UnsupportedSizeError past
-    _SIGNATURE_MAX_N.
+    3.11).  The source holds nothing but minor names, integer indices
+    and operators.  Raises UnsupportedSizeError past _SIGNATURE_MAX_N.
     """
     if n > _SIGNATURE_MAX_N:
         raise UnsupportedSizeError(
             f"residue classification is limited to n <= {_SIGNATURE_MAX_N}, got {n}; "
             "use classify.analyze"
         )
-
-    def mask(indices):
-        return sum(1 << i for i in indices)
-
     idx = range(n)
-    unpack = ", ".join("(" + ", ".join(f"m{1 << i}_{1 << j}" for j in idx) + ",)" for i in idx)
-    body = [f"def signature_n{n}(rows, vt):", f"    {unpack}, = rows"]
-    fv, dv = [], []
+    lines, fv, dv = [], [], []
     for k in range(1, n + 1):
         minors = []
         for R in combinations(idx, k):
             for C in combinations(idx, k):
-                name = f"m{mask(R)}_{mask(C)}"
-                minors.append(name)
+                minors.append(_minor(R, C))
                 if k > 1:
-                    # Laplace along row R[-1]: entry (R[-1], c) times the
-                    # minor on R[:-1] and C without c, sign (-1)^(k-1+t)
-                    rest = mask(R[:-1])
-                    terms = ([], [])
-                    for t, c in enumerate(C):
-                        term = f"m{1 << R[-1]}_{1 << c} * m{rest}_{mask(C) ^ (1 << c)}"
-                        terms[(k - 1 + t) % 2].append(term)
-                    plus, minus = terms
-                    body.append(f"    {name} = " + " + ".join(plus) + "".join(f" - {t}" for t in minus))
-        principal = " + ".join(f"m{mask(S)}_{mask(S)}" for S in combinations(idx, k))
+                    lines.append(f"    {_minor(R, C)} = {_laplace(R, C)}")
+        principal = " + ".join(_minor(S, S) for S in combinations(idx, k))
         fv.append(f"vt[{principal}]")
         looked_up = ", ".join(f"vt[{name}]" for name in minors)
         dv.append(f"min({looked_up})" if len(minors) > 1 else looked_up)
-    body.append(f"    return ({', '.join(fv + dv)})")
-    namespace = {}
-    exec(compile("\n".join(body), f"<padicsmith.density signature n={n}>", "exec"), namespace)
-    return namespace[f"signature_n{n}"]
+    lines.append(f"    return ({', '.join(fv + dv)})")
+    return _compile(f"signature_n{n}", n, "rows, vt", lines)
+
+
+@lru_cache(maxsize=None)
+def _pivot(n: int):
+    """The function pivot(rows) -> (det, c) for n x n matrices, n >= 2.
+
+    c is the leading (n-1) x (n-1) minor, the cofactor of entry
+    (n-1, n-1): det = a_{n-1,n-1} * c + (terms free of that entry).  The
+    same recurrence as _signature, restricted to the minors on leading
+    rows that the expansion of det along its last row needs.
+    """
+    idx = tuple(range(n))
+    lines = []
+    for k in range(2, n + 1):
+        for C in combinations(idx, k) if k < n else [idx]:
+            lines.append(f"    {_minor(idx[:k], C)} = {_laplace(idx[:k], C)}")
+    lines.append(f"    return {_minor(idx, idx)}, {_minor(idx[:-1], idx[:-1])}")
+    return _compile(f"pivot_n{n}", n, "rows", lines)
 
 
 def _hodge_test(fv: tuple[int, ...], dv: tuple[int, ...]) -> tuple[bool, bool]:
@@ -314,8 +374,8 @@ def _hodge_test(fv: tuple[int, ...], dv: tuple[int, ...]) -> tuple[bool, bool]:
 
 
 @lru_cache(maxsize=4096)
-def _outcome(sig: tuple[int, ...], m: int) -> tuple[bool, bool, tuple[int, ...], bool]:
-    """(characterized, correspondent, partition_key, det_filtered) of a signature.
+def _outcome(sig: tuple[int, ...]) -> tuple[bool, bool, tuple[int, ...]]:
+    """(characterized, correspondent, partition_key) of a signature.
 
     The rank r is the first k with Delta_k = _VAL_OF_ZERO, n if there is
     none; f_k vanishes for every k > r, so only k <= r enters the Hodge
@@ -326,8 +386,15 @@ def _outcome(sig: tuple[int, ...], m: int) -> tuple[bool, bool, tuple[int, ...],
     r = dv.index(_VAL_OF_ZERO) if _VAL_OF_ZERO in dv else n
     fv, dv = sig[:r], dv[:r]
     char, corr = _hodge_test(fv, dv)
-    key = (r,) + tuple(b - a for a, b in zip((0,) + dv, dv))
-    return char, corr, key, r == n and dv[-1] < m
+    return char, corr, (r,) + tuple(b - a for a, b in zip((0,) + dv, dv))
+
+
+def _det_filtered(key: tuple[int, ...], n: int, m: int) -> bool:
+    """val_p(det) < m, read off a partition key (rank, e_1, ..., e_rank).
+
+    Exact: a nonsingular matrix has val_p(det) = e_1 + ... + e_n.
+    """
+    return key[0] == n and sum(key[1:]) < m
 
 
 def classify_residue_matrix(
@@ -348,7 +415,8 @@ def classify_residue_matrix(
             f"residue matrix entries must lie in [0, {q}), got {[list(r) for r in rows]}"
         )
     n = len(rows)
-    return _outcome(_signature(n)(rows, _valuation_table(p, m, n)), m)
+    char, corr, key = _outcome(_signature(n)(rows, _valuation_table(p, m, n)))
+    return char, corr, key, _det_filtered(key, n, m)
 
 
 # ---------------------------------------------------------------------------
@@ -360,45 +428,132 @@ def _arrangements(diag: tuple[int, ...]) -> int:
     return factorial(len(diag)) // prod(factorial(c) for c in Counter(diag).values())
 
 
-def _representative_count(q: int, n: int) -> int:
-    """Size of the flat representative index: sorted diagonals x
-    (a01 <= a10) pairs x the other off-diagonal digits."""
+def _representative_count(p: int, n: int) -> int:
+    """Size of the flat representative index of the (p, 1, n) box: sorted
+    diagonals x (a01 <= a10) pairs x the other off-diagonal digits."""
     if n == 1:
-        return q
-    return comb(q + n - 1, n) * comb(q + 1, 2) * q ** (n * n - n - 2)
+        return p
+    return comb(p + n - 1, n) * comb(p + 1, 2) * p ** (n * n - n - 2)
+
+
+def _walk(groups, rest, start: int, stop: int):
+    """product(*group, *rest) for each group, chained, from start up to
+    stop; product hands back one reused tuple per matrix."""
+    walk = chain.from_iterable(product(*group, *rest) for group in groups)
+    return islice(walk, start, stop)
+
+
+def _blocks(p: int, n: int, lo: int, hi: int):
+    """The representatives of the (p, 1, n) box with flat index in [lo, hi).
+
+    Yields (matrices, weight) per block: matrices() returns a fresh
+    iterator over the block's row tuples, each of which stands for
+    weight matrices.  A representative has a non-decreasing diagonal and
+    a01 <= a10.  Per sorted diagonal, the representatives with a01 < a10
+    come first, then those with a01 = a10; each block is ordered by
+    (a01, rest of row 0, a10, rest of row 1, rows 2 .. n-1 row-major),
+    last digit fastest.  A representative stands for the
+    n!/prod(multiplicity!) diagonal arrangements that permutation
+    similarity reaches, times 2 for its transpose when a01 < a10.
+    """
+    if n == 1:
+        yield partial(_walk, [([(x,) for x in range(p)],)], [], lo, hi), 1
+        return
+    tail = p ** (n * n - n - 2)  # representatives per (a01, a10) pair
+    fills = tuple(product(range(p), repeat=n - 2))  # rest of rows 0 and 1
+    row_fills = tuple(product(range(p), repeat=n - 1))  # rows 2 .. n-1
+    d_lo, skip = divmod(lo, comb(p + 1, 2) * tail)
+    left = hi - lo
+    for diag in islice(combinations_with_replacement(range(p), n), d_lo, None):
+        if left <= 0:
+            break
+        d0, d1 = diag[:2]
+        # rows 0 and 1 indexed by a01 and a10, each over its other fills;
+        # row i >= 2 runs over its p^(n-1) off-diagonal fills around diag[i]
+        row0 = [[(d0, x) + f for f in fills] for x in range(p)]
+        row1 = [[(y, d1) + f for f in fills] for y in range(p)]
+        rest = [[f[:i] + (d,) + f[i:] for f in row_fills] for i, d in enumerate(diag) if i >= 2]
+        weight = _arrangements(diag)
+        # one product per a01 in each block: row 1 over every a10 > a01
+        # (strict), then with a10 = a01 (tied)
+        strict = [(row0[x], [r for y in range(x + 1, p) for r in row1[y]]) for x in range(p)]
+        tied = list(zip(row0, row1))
+        for groups, pairs, mult in ((strict, comb(p, 2), 2), (tied, p, 1)):
+            size = pairs * tail
+            count = min(size - skip, left)
+            if count > 0:
+                yield partial(_walk, groups, rest, skip, skip + count), weight * mult
+                left -= count
+            skip = max(skip - size, 0)
+
+
+def _lifts(row, p: int, m: int) -> list[tuple[int, ...]]:
+    """Every row over [0, p^m) congruent to row mod p."""
+    return list(product(*(range(a, p**m, p) for a in row)))
+
+
+def _corank_one_keys(cls, p: int, m: int, vt) -> Counter:
+    """Partition keys of the lifts of a class of rank n - 1 mod p, counted.
+
+    e_1 = ... = e_{n-1} = 0 on every lift, so the key only needs
+    v(det) >= 1.  det is affine in an entry whose cofactor c is a unit:
+    over the p^(m-1) lifts of that entry, det = d + p t c with d = 0
+    mod p, so det mod p^m meets every multiple of p once.  Per lift of
+    the other n^2 - 1 entries, (p-1) p^(m-1-j) pivot lifts have
+    v(det) = j for 1 <= j < m, and the one with det = 0 mod p^m gets its
+    key from its exact det.
+    """
+    n = len(cls)
+    idx = range(n)
+
+    def cofactor_is_unit(i, j):
+        minor = [[a for c, a in enumerate(row) if c != j] for r, row in enumerate(cls) if r != i]
+        return _det_rows(minor) % p != 0
+
+    pivot = next(((i, j) for i in idx for j in idx if cofactor_is_unit(i, j)), None)
+    if pivot is None:
+        raise AssertionError(f"no unit cofactor mod {p} in a class of rank n - 1: {[list(r) for r in cls]}")
+    # move the pivot to (n-1, n-1); permuting rows and columns changes
+    # det by a sign at most, which neither v(det) nor det = 0 sees
+    i, j = pivot
+    rows = [r for r in idx if r != i] + [i]
+    cols = [c for c in idx if c != j] + [j]
+    *upper, (*last, a) = [[cls[r][c] for c in cols] for r in rows]
+    # every lift of the other entries, the pivot at its t = 0 lift a
+    lifted = [_lifts(row, p, m) for row in upper] + [[f + (a,) for f in _lifts(last, p, m)]]
+    step = p ** (m - 1)
+    deep: Counter = Counter()
+    for (d, c), count in Counter(map(_pivot(n), product(*lifted))).items():
+        t = -(d // p) * pow(c, -1, step) % step
+        deep[vt[d + p * t * c]] += count
+    units = (0,) * (n - 1)
+    shallow = step ** (n * n - 1)  # lifts of the other entries
+    keys = Counter({(n, *units, j): shallow * (p - 1) * p ** (m - 1 - j) for j in range(1, m)})
+    for e, count in deep.items():
+        keys[(n - 1, *units) if e == _VAL_OF_ZERO else (n, *units, e)] += count
+    return keys
 
 
 def _tally_range(args: tuple[int, int, int, int, int]) -> Counter:
-    """Classify the representatives with flat index in [lo, hi).
+    """Tally the (p, 1, n) representatives with flat index in [lo, hi).
 
     Returns a Counter of outcomes (characterized, correspondent,
-    partition_key, det_filtered), each counted with its weight.
-
-    A representative has a non-decreasing diagonal and a01 <= a10.  Per
-    sorted diagonal, the representatives with a01 < a10 come first, then
-    those with a01 = a10; each block is ordered by (a01, rest of row 0,
-    a10, rest of row 1, rows 2 .. n-1 row-major), last digit fastest.  A
-    representative stands for the n!/prod(multiplicity!) diagonal
-    arrangements that permutation similarity reaches, times 2 for its
-    transpose when a01 < a10, and is counted with that weight.
+    partition_key), each counted with its weight.  For m = 1 each
+    representative is one matrix of the box and is classified itself.
+    For m >= 2 it is a class A mod p whose p^((m-1) n^2) lifts are
+    counted by the stratum of its rank mod p (see the module docstring);
+    only ranks 1 .. n-2 classify their lifts one by one.
     """
     p, m, n, lo, hi = args
-    q = p**m
     signature, vt = _signature(n), _valuation_table(p, m, n)
     tally: Counter = Counter()
 
-    def count_block(groups, rest, window, weight):
-        # product(*group, *rest) for each group, chained, from window[0]
-        # up to window[1]; product hands back one reused tuple per matrix
-        def matrices():
-            walk = chain.from_iterable(product(*group, *rest) for group in groups)
-            return islice(walk, *window)
-
+    def count_block(matrices, weight):
         sigs = Counter(map(signature, matrices(), repeat(vt)))
-        outcomes = [(_outcome(sig, m), count) for sig, count in sigs.items()]
-        if any(char and not corr for (char, corr, _, _), _ in outcomes):
+        outcomes = [(_outcome(sig), count) for sig, count in sigs.items()]
+        if any(char and not corr for (char, corr, _), _ in outcomes):
             for rows in matrices():
-                char, corr, _, _ = _outcome(signature(rows, vt), m)
+                char, corr, _ = _outcome(signature(rows, vt))
                 if char and not corr:
                     raise AssertionError(
                         f"characterized but not correspondent at p={p}, m={m}: "
@@ -407,35 +562,30 @@ def _tally_range(args: tuple[int, int, int, int, int]) -> Counter:
         for outcome, count in outcomes:
             tally[outcome] += weight * count
 
-    if n == 1:
-        count_block([([(x,) for x in range(q)],)], [], (lo, hi), 1)
+    if m == 1:
+        for matrices, weight in _blocks(p, n, lo, hi):
+            count_block(matrices, weight)
         return tally
-    tail = q ** (n * n - n - 2)  # representatives per (a01, a10) pair
-    fills = tuple(product(range(q), repeat=n - 2))  # rest of rows 0 and 1
-    row_fills = tuple(product(range(q), repeat=n - 1))  # rows 2 .. n-1
-    d_lo, skip = divmod(lo, comb(q + 1, 2) * tail)
-    left = hi - lo
-    for diag in islice(combinations_with_replacement(range(q), n), d_lo, None):
-        if left <= 0:
-            break
-        d0, d1 = diag[:2]
-        # rows 0 and 1 indexed by a01 and a10, each over its other fills;
-        # row i >= 2 runs over its q^(n-1) off-diagonal fills around diag[i]
-        row0 = [[(d0, x) + f for f in fills] for x in range(q)]
-        row1 = [[(y, d1) + f for f in fills] for y in range(q)]
-        rest = [[f[:i] + (d,) + f[i:] for f in row_fills] for i, d in enumerate(diag) if i >= 2]
-        weight = _arrangements(diag)
-        # one product per a01 in each block: row 1 over every a10 > a01
-        # (strict), then with a10 = a01 (tied)
-        strict = [(row0[x], [r for y in range(x + 1, q) for r in row1[y]]) for x in range(q)]
-        tied = list(zip(row0, row1))
-        for groups, pairs, mult in ((strict, comb(q, 2), 2), (tied, q, 1)):
-            size = pairs * tail
-            count = min(size - skip, left)
-            if count > 0:
-                count_block(groups, rest, (skip, skip + count), weight * mult)
-                left -= count
-            skip = max(skip - size, 0)
+
+    vt1 = _valuation_table(p, 1, n)
+    units = (0,) * (n - 1)
+    for matrices, weight in _blocks(p, n, lo, hi):
+        for cls in matrices():
+            sig = signature(cls, vt1)
+            rank = sig[n:].count(0)  # Delta_k = 0 iff some k x k minor is a unit
+            char = sig[: n - 1] == units  # f_1 .. f_{n-1} units
+            if rank == n:
+                tally[char, True, (n, *units, 0)] += weight * p ** ((m - 1) * n * n)
+            elif rank == 0:
+                below = _tally_range((p, m - 1, n, 0, _representative_count(p, n)))
+                for (c, r, (k, *exps)), w in below.items():
+                    tally[c, r, (k, *(e + 1 for e in exps))] += weight * w
+            elif rank == n - 1:
+                corr = sig[n - 2] == 0  # f_{n-1} a unit
+                for key, w in _corank_one_keys(cls, p, m, vt).items():
+                    tally[char, corr, key] += weight * w
+            else:
+                count_block(partial(product, *[_lifts(row, p, m) for row in cls]), weight)
     return tally
 
 
@@ -449,14 +599,15 @@ def enumerate_density(
 ) -> DensityRow:
     """Count every n x n matrix over [0, p^m) and tally the densities.
 
-    One representative per sorted diagonal is classified and weighted by
-    its number of diagonal arrangements (see the module docstring).  The
+    The walk runs over the representatives of the (p, 1, n) box, each
+    weighted by its number of diagonal arrangements: single matrices for
+    m = 1, classes mod p for m >= 2 (see the module docstring).  The
     representatives split into contiguous ranges of one flat index
     (sorted diagonal, off-diagonal digits) merged in job order, so the
     result, and the witness named by a counterexample, is independent of
-    thread count.  Raises
-    BudgetExceededError when the full space (p^m)^(n^2) is larger than
-    budget.
+    thread count.  Raises BudgetExceededError when the full space
+    (p^m)^(n^2) is larger than budget, however few of its matrices are
+    classified one by one.
     """
     _require_prime(p)
     if m < 1 or n < 1:
@@ -470,7 +621,7 @@ def enumerate_density(
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
 
-    reps = _representative_count(p**m, n)
+    reps = _representative_count(p, n)
     if threads == 1 or total < 4096:
         tally = _tally_range((p, m, n, 0, reps))
     else:
@@ -495,7 +646,7 @@ def enumerate_density(
     # classes split the whole space under either convention; expose each by
     # its localized Smith diagonal (p^e_1, ..., p^e_r, 0, ..)
     classes: dict = {}
-    for (char, _, key, _), w in tally.items():
+    for (char, _, key), w in tally.items():
         cell = classes.setdefault(key, [0, 0])
         cell[0] += w
         cell[1] += w if char else 0
@@ -505,8 +656,8 @@ def enumerate_density(
         partitions[diag] = PartitionCell(size=size, char_count=char)
     counted = [
         (char, corr, w)
-        for (char, corr, _, in_filter), w in tally.items()
-        if in_filter or convention is Convention.ALL
+        for (char, corr, key), w in tally.items()
+        if convention is Convention.ALL or _det_filtered(key, n, m)
     ]
     return DensityRow(
         p=p,

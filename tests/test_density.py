@@ -1,6 +1,8 @@
 import multiprocessing
 import time
+from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 
 import pytest
@@ -89,20 +91,27 @@ def test_thread_counts_agree():
                 assert enumerate_density(*cell, convention=convention, threads=threads) == serial
 
 
+@lru_cache(maxsize=None)
+def _brute_force_outcomes(p, m, n):
+    """classify_residue_matrix on every matrix of the box, counted."""
+    return Counter(
+        classify_residue_matrix([flat[i * n : (i + 1) * n] for i in range(n)], p, m)
+        for flat in product(range(p**m), repeat=n * n)
+    )
+
+
 def _brute_force_row(p, m, n, convention):
     """Classify every matrix of the box, no symmetry reduction."""
     total = char_count = corr_count = 0
     parts = {}
-    for flat in product(range(p**m), repeat=n * n):
-        rows = [list(flat[i * n : (i + 1) * n]) for i in range(n)]
-        char, corr, (r, *exps), in_filter = classify_residue_matrix(rows, p, m)
+    for (char, corr, (r, *exps), in_filter), count in _brute_force_outcomes(p, m, n).items():
         diag = tuple(p**e for e in exps) + (0,) * (n - r)
         size, chars = parts.get(diag, (0, 0))
-        parts[diag] = (size + 1, chars + char)
+        parts[diag] = (size + count, chars + char * count)
         if convention is Convention.ALL or in_filter:
-            total += 1
-            char_count += char
-            corr_count += corr
+            total += count
+            char_count += char * count
+            corr_count += corr * count
     return DensityRow(
         p=p,
         m=m,
@@ -117,11 +126,43 @@ def _brute_force_row(p, m, n, convention):
 
 @pytest.mark.parametrize(
     "cell",
-    [(2, 1, 2), (2, 2, 2), (3, 1, 2), (2, 1, 3), (3, 1, 3), (3, 2, 1), (2, 1, 4), (5, 1, 2), (5, 7, 1)],
+    [
+        (2, 1, 2), (2, 2, 2), (3, 1, 2), (2, 1, 3), (3, 1, 3), (3, 2, 1), (2, 1, 4), (5, 1, 2), (5, 7, 1),
+        # m >= 2 cells with every class stratum: rank n, rank n - 1 (at
+        # n = 3 too), A = 0 mod p, and at (2,2,3) rank 1 classified per matrix
+        (3, 2, 2), (2, 3, 2), (2, 2, 3),
+    ],
 )
 @pytest.mark.parametrize("convention", list(Convention))
 def test_weighted_enumeration_matches_brute_force(cell, convention):
     assert enumerate_density(*cell, convention=convention) == _brute_force_row(*cell, convention)
+
+
+# Closed forms for n = 2, independent of the enumerator.  With q = p^m:
+# - A = 0 mod p is A = pB with B over [0, p^(m-1)); scaling by p adds 1 to
+#   every Smith exponent and k to val_p(f_k), which keeps both predicates,
+#   so these matrices contribute the counts of cell (p, m-1, 2).
+# - A != 0 mod p has e_1 = 0.  f_2 = det, so val_p(f_2) = Delta_2 always,
+#   and A is characterized iff its trace f_1 is a unit: p^4 - p^3 of the
+#   classes mod p.  k = 1 is a Hodge vertex iff det = 0 mod p, so A fails
+#   to be correspondent iff A mod p is nonzero nilpotent: p^2 - 1 classes.
+#   Each class mod p has q^4 / p^4 members.
+# - The zero matrix of the (p, 1, 2) box is characterized and correspondent.
+# Summing the geometric series over m:
+#   char_count = 1 + (p^4 - p^3) (q^4 - 1) / (p^4 - 1)
+#              = (p^3 q^4 + p^2 + p + 1) / ((p + 1)(p^2 + 1))
+#   corr_count = 1 + (p^4 - p^2) (q^4 - 1) / (p^4 - 1) = (p^2 q^4 + 1) / (p^2 + 1)
+@pytest.mark.parametrize(
+    "p, m",
+    [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (7, 1),
+     (11, 1), (13, 1), (2, 5), (7, 2), (3, 4), (2, 6)],
+)
+def test_n2_counts_match_closed_form(p, m):
+    q = p**m
+    row = enumerate_density(p, m, 2)
+    assert row.total == q**4
+    assert row.char_count * (p + 1) * (p**2 + 1) == p**3 * q**4 + p**2 + p + 1
+    assert row.corr_count * (p**2 + 1) == p**2 * q**4 + 1
 
 
 def test_counterexample_names_its_matrix(monkeypatch):
@@ -131,49 +172,74 @@ def test_counterexample_names_its_matrix(monkeypatch):
     # no other representative of (2,1,2) shares this signature
     witness = density._signature(2)([[0, 1], [1, 1]], density._valuation_table(2, 1, 2))
 
-    def planted(sig, m):
-        char, corr, key, in_filter = real(sig, m)
-        if sig == witness:
-            return True, False, key, in_filter
-        return char, corr, key, in_filter
+    def planted(sig):
+        char, corr, key = real(sig)
+        return (True, False, key) if sig == witness else (char, corr, key)
 
     monkeypatch.setattr(density, "_outcome", planted)
     with pytest.raises(AssertionError, match=r"\[\[0, 1\], \[1, 1\]\]"):
         enumerate_density(2, 1, 2)
 
 
+def test_counterexample_among_lifts_names_its_matrix(monkeypatch):
+    # For m >= 2 only the lifts of classes of rank 1 .. n-2 mod p are
+    # classified one by one.  Plant on the signature of diag(1, 2, 2), rank
+    # 1 mod 2, whose Delta_2 = 1 no 0/1 matrix of the A = 0 class's cell
+    # (2,1,3) can reach; the named witness must be a lift with that signature.
+    import ast
+
+    import padicsmith.density as density
+
+    real = density._outcome
+    vt = density._valuation_table(2, 2, 3)
+    witness = density._signature(3)([[1, 0, 0], [0, 2, 0], [0, 0, 2]], vt)
+
+    def planted(sig):
+        char, corr, key = real(sig)
+        return (True, False, key) if sig == witness else (char, corr, key)
+
+    monkeypatch.setattr(density, "_outcome", planted)
+    with pytest.raises(AssertionError, match=r"at p=2, m=2: ") as failure:
+        enumerate_density(2, 2, 3)
+    named = ast.literal_eval(str(failure.value).rsplit(": ", 1)[1])
+    assert named == [[0, 0, 2], [1, 0, 1], [3, 2, 1]]  # rows (0,0,0), (1,0,1), (1,0,1) mod 2
+    assert density._signature(3)(named, vt) == witness
+
+
 @pytest.mark.skipif(
     multiprocessing.get_start_method() != "fork", reason="workers must inherit the planted functions"
 )
 def test_counterexample_witness_is_independent_of_worker_count(monkeypatch):
-    # (3,2,2) has 45 sorted diagonals of 45 representatives each.  Every
-    # matrix on the diagonals (1,6), (1,7) and (2,7) is planted as a
-    # counterexample.  (1,6) is the 15th diagonal, late in job 0 for 2 and
-    # 3 workers, while job 1 opens on (2,7) for 2 workers and on (1,7) for
-    # 3.  Each signature sleeps, so job 1 fails long before job 0 does;
-    # the witness must still be the first planted matrix in flat order.
+    # The plant sits in an m = 1 cell: for m >= 2 most classes are counted
+    # whole and never reach _signature.  (3,1,3) has 10 sorted diagonals of
+    # 486 representatives each.  Every matrix on the diagonals (0,1,1) and
+    # (0,2,2) is planted as a counterexample.  (0,1,1) is the 4th diagonal,
+    # starting at index 1458, late in job 0 for 2 and 3 workers, while job 1
+    # opens on (0,2,2) for 2 workers and inside (0,1,1) for 3.  Each
+    # signature sleeps, so job 1 fails long before job 0 does; the witness
+    # must still be the first planted matrix in flat order.
     import padicsmith.density as density
 
     real_signature, real_outcome = density._signature, density._outcome
-    planted = {(1, 6), (1, 7), (2, 7)}
+    planted = {(0, 1, 1), (0, 2, 2)}
 
     def slow_signature(n):
         signature = real_signature(n)
 
         def sig(rows, vt):
             time.sleep(0.0005)
-            return "planted" if (rows[0][0], rows[1][1]) in planted else signature(rows, vt)
+            return "planted" if (rows[0][0], rows[1][1], rows[2][2]) in planted else signature(rows, vt)
 
         return sig
 
-    def outcome(sig, m):
-        return (True, False, (2, 0, 0), True) if sig == "planted" else real_outcome(sig, m)
+    def outcome(sig):
+        return (True, False, (3, 0, 0, 0)) if sig == "planted" else real_outcome(sig)
 
     monkeypatch.setattr(density, "_signature", slow_signature)
     monkeypatch.setattr(density, "_outcome", outcome)
     for threads in (1, 2, 3):
-        with pytest.raises(AssertionError, match=r"m=2: \[\[1, 0\], \[1, 6\]\]$"):
-            enumerate_density(3, 2, 2, threads=threads)
+        with pytest.raises(AssertionError, match=r"m=1: \[\[0, 0, 0\], \[1, 1, 0\], \[0, 0, 1\]\]$"):
+            enumerate_density(3, 1, 3, threads=threads)
 
 
 def test_budget_guard():

@@ -16,17 +16,21 @@ from padicsmith.density import CSV_HEADER, enumerate_density
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
-def run_script(*argv: str) -> str:
+def spawn_script(*argv: str) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     src = str(Path(padicsmith.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, str(SCRIPTS / argv[0]), *argv[1:]],
         capture_output=True,
         text=True,
         env=env,
         timeout=300,
     )
+
+
+def run_script(*argv: str) -> str:
+    proc = spawn_script(*argv)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     return proc.stdout
 
@@ -49,3 +53,12 @@ def test_density_table_script_matches_library():
     assert len(cells) == 14
     assert lines[1:] == [enumerate_density(*cell).csv_row() for cell in cells]
     assert run_script("reproduce_density_table.py", "--csv", "--threads", "2").splitlines() == lines
+
+
+@pytest.mark.parametrize("threads", ["0", "-5"])
+def test_density_table_script_rejects_non_positive_threads(threads):
+    proc = spawn_script("reproduce_density_table.py", "--csv", "--threads", threads)
+    assert proc.returncode == 2
+    assert "usage:" in proc.stderr
+    assert "must be a positive integer" in proc.stderr
+    assert "Traceback" not in proc.stderr
