@@ -32,13 +32,20 @@ in classify.analyze is enforced by the test suite.  It reduces a matrix
 to a valuation signature, the valuations of the charpoly coefficients
 f_k and of the determinantal divisors, read from every k x k minor:
 one Laplace recurrence computes all C(2n, n) - 1 minors, each from the
-minors one size smaller.  The recurrence is generated as straight-line
-source and compiled once per n, because the same steps run as loops in
-Python are several times slower per matrix.  Valuations come from a
-per-cell table.  A box has few distinct signatures, so the outcome of
-each is decided once, without building a Newton polygon.  With the Smith
-exponents e_1 <= ... <= e_r and Delta_k = e_1 + ... + e_k, the valuation
-of the k-th determinantal divisor, each coefficient f_k of the
+minors one size smaller, expanded along its last row.  The walk
+classifies runs of matrices that share rows 0 .. n-2, the prefix, and
+differ in row n-1.  A minor off row n-1 depends on the prefix alone, so
+a run computes those minors once, with each prefix part of a principal
+sum and the gcd of the prefix k x k minors.  Per last row only the
+minors on row n-1 remain.  Delta_k, the least valuation of a k x k
+minor, is the valuation of gcd(prefix gcd, their k x k minors), since
+v_p(gcd) = min v_p.  This batched classifier is generated as
+straight-line source and compiled once per n, because the same steps
+run as loops in Python are several times slower per matrix.  Valuations come from a per-cell table.  A box has
+few distinct signatures, so the outcome of each is decided once,
+without building a Newton polygon.  With the Smith exponents
+e_1 <= ... <= e_r and Delta_k = e_1 + ... + e_k, the valuation of the
+k-th determinantal divisor, each coefficient f_k of the
 characteristic polynomial is a signed sum of principal k x k minors, so
 val_p(f_k) >= Delta_k: the Newton polygon lies on or above the Hodge
 polygon through (k, Delta_k) (Mazur's inequality), and both span
@@ -88,8 +95,8 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import chain, combinations, combinations_with_replacement, islice, product, repeat
-from math import comb, factorial, prod
+from itertools import chain, combinations, combinations_with_replacement, islice, product
+from math import comb, factorial, gcd, prod
 
 from .exact import BudgetExceededError, IntMatrix, UnsupportedSizeError, _det_rows, _require_prime, val_p
 from .smith import local_profile
@@ -278,30 +285,40 @@ def _laplace(R: tuple[int, ...], C: tuple[int, ...]) -> str:
     return " + ".join(plus) + "".join(f" - {t}" for t in minus)
 
 
-def _compile(name: str, n: int, args: str, lines: list[str]):
-    """Compile straight-line source over the entries of an n x n matrix.
+def _row(i: int, n: int) -> str:
+    """Source target for row i of an n x n matrix: its entries bound to
+    the 1 x 1 minors m<1 << i>_<1 << j>."""
+    return "(" + ", ".join(_minor((i,), (j,)) for j in range(n)) + ",)"
 
-    Every entry (i, j) is bound to the 1 x 1 minor m<1 << i>_<1 << j>,
-    unpacked from the first argument, rows.
-    """
-    idx = range(n)
-    unpack = ", ".join("(" + ", ".join(_minor((i,), (j,)) for j in idx) + ",)" for i in idx)
-    source = "\n".join([f"def {name}({args}):", f"    {unpack}, = rows", *lines])
-    namespace = {}
+
+def _compile(name: str, args: str, lines: list[str]):
+    """Compile the straight-line source lines into a function name(args)."""
+    source = "\n".join([f"def {name}({args}):", *lines])
+    namespace = {"gcd": gcd}
     exec(compile(source, f"<padicsmith.density {name}>", "exec"), namespace)
     return namespace[name]
 
 
 @lru_cache(maxsize=None)
-def _signature(n: int):
-    """The signature function sig(rows, vt) for n x n matrices.
+def _signatures(n: int):
+    """The batched signature kernel sigs(prefix, lasts, vt) for n x n matrices.
 
-    It returns (v(f_1), ..., v(f_n), Delta_1, ..., Delta_n) with
-    v(x) = vt[x]: v(f_k) is the valuation of the sum of the principal
-    k x k minors (f_k up to sign) and Delta_k the least valuation of a
-    k x k minor.  The k x k minor on rows R and columns C expands along
-    the last row of R into (k-1) x (k-1) minors, so every minor of every
-    size is computed once: C(2n, n) - 1 in all.
+    prefix holds rows 0 .. n-2 and lasts a sequence of rows n-1.  It
+    returns, per last row in order, the signature of the matrix
+    prefix + (last,): (v(f_1), ..., v(f_n), Delta_1, ..., Delta_n) with
+    v(x) = vt[x].  v(f_k) is the valuation of the sum of the principal
+    k x k minors (f_k up to sign) and Delta_k that of the gcd of all
+    k x k minors, their least valuation.
+
+    The k x k minor on rows R and columns C expands along the last row
+    of R into (k-1) x (k-1) minors, so every minor of every size is
+    computed once, C(2n, n) - 1 in all.  A minor off row n-1 depends on
+    the prefix alone, and one on row n-1 expands along it into prefix
+    minors.  So each call computes the prefix minors once, with the
+    prefix part f<k> of each principal sum and the gcd g<k> of the
+    prefix k x k minors, and then per last row only the minors on row
+    n-1: Delta_k = vt[gcd(g<k>, <their k x k minors>)], where
+    gcd(0, ..., 0) = 0 maps to _VAL_OF_ZERO.
 
     The recurrence is emitted as straight-line source and compiled once
     per n: the same steps as a loop over an index plan of minor slots
@@ -314,21 +331,42 @@ def _signature(n: int):
             f"residue classification is limited to n <= {_SIGNATURE_MAX_N}, got {n}; "
             "use classify.analyze"
         )
-    idx = range(n)
-    lines, fv, dv = [], [], []
+    idx, last = range(n), n - 1
+    head = [f"    {''.join(_row(i, n) + ', ' for i in idx[:-1])}= prefix"] if n > 1 else []
+    body, fv, dv = [], [], []
     for k in range(1, n + 1):
-        minors = []
+        off, on = [], []  # k x k minors off and on row n-1
         for R in combinations(idx, k):
+            lines, minors, indent = (body, on, " " * 8) if last in R else (head, off, " " * 4)
             for C in combinations(idx, k):
                 minors.append(_minor(R, C))
                 if k > 1:
-                    lines.append(f"    {_minor(R, C)} = {_laplace(R, C)}")
-        principal = " + ".join(_minor(S, S) for S in combinations(idx, k))
-        fv.append(f"vt[{principal}]")
-        looked_up = ", ".join(f"vt[{name}]" for name in minors)
-        dv.append(f"min({looked_up})" if len(minors) > 1 else looked_up)
-    lines.append(f"    return ({', '.join(fv + dv)})")
-    return _compile(f"signature_n{n}", n, "rows, vt", lines)
+                    lines.append(f"{indent}{_minor(R, C)} = {_laplace(R, C)}")
+        principal = " + ".join(_minor(S, S) for S in combinations(idx, k) if last in S)
+        if k < n:
+            head.append(f"    f{k} = {' + '.join(_minor(S, S) for S in combinations(idx[:-1], k))}")
+            head.append(f"    g{k} = gcd({', '.join(off)})")
+            fv.append(f"vt[f{k} + {principal}]")
+            dv.append(f"vt[gcd(g{k}, {', '.join(on)})]")
+        else:
+            fv.append(f"vt[{principal}]")
+            dv.append(f"vt[{principal}]")
+    lines = [
+        *head,
+        "    out = []",
+        f"    for {_row(last, n)} in lasts:",
+        *body,
+        f"        out.append(({', '.join(fv + dv)}))",
+        "    return out",
+    ]
+    return _compile(f"signatures_n{n}", "prefix, lasts, vt", lines)
+
+
+@lru_cache(maxsize=None)
+def _signature(n: int):
+    """sig(rows, vt): the signature of the one matrix rows, from the kernel."""
+    sigs = _signatures(n)
+    return lambda rows, vt: sigs(rows[:-1], (rows[-1],), vt)[0]
 
 
 @lru_cache(maxsize=None)
@@ -337,16 +375,16 @@ def _pivot(n: int):
 
     c is the leading (n-1) x (n-1) minor, the cofactor of entry
     (n-1, n-1): det = a_{n-1,n-1} * c + (terms free of that entry).  The
-    same recurrence as _signature, restricted to the minors on leading
+    same recurrence as _signatures, restricted to the minors on leading
     rows that the expansion of det along its last row needs.
     """
     idx = tuple(range(n))
-    lines = []
+    lines = [f"    {''.join(_row(i, n) + ', ' for i in idx)}= rows"]
     for k in range(2, n + 1):
         for C in combinations(idx, k) if k < n else [idx]:
             lines.append(f"    {_minor(idx[:k], C)} = {_laplace(idx[:k], C)}")
     lines.append(f"    return {_minor(idx, idx)}, {_minor(idx[:-1], idx[:-1])}")
-    return _compile(f"pivot_n{n}", n, "rows", lines)
+    return _compile(f"pivot_n{n}", "rows", lines)
 
 
 def _hodge_test(fv: tuple[int, ...], dv: tuple[int, ...]) -> tuple[bool, bool]:
@@ -436,18 +474,37 @@ def _representative_count(p: int, n: int) -> int:
     return comb(p + n - 1, n) * comb(p + 1, 2) * p ** (n * n - n - 2)
 
 
-def _walk(groups, rest, start: int, stop: int):
-    """product(*group, *rest) for each group, chained, from start up to
-    stop; product hands back one reused tuple per matrix."""
-    walk = chain.from_iterable(product(*group, *rest) for group in groups)
-    return islice(walk, start, stop)
+def _walk(groups, start: int, stop: int):
+    """The matrices product(*group) of each group, chained, with flat
+    index in [start, stop), as (prefix, lasts) runs.
+
+    The last factor of a group is a sequence of last rows, so a run is
+    one prefix, a tuple of rows 0 .. n-2, with the slice of the last rows
+    that falls in the range.  Groups without members are passed over.
+    """
+    for *heads, lasts in groups:
+        width = len(lasts)
+        size = prod(map(len, heads)) * width
+        if start <= 0 and size <= stop:  # the whole group, as most are
+            for prefix in product(*heads):
+                yield prefix, lasts
+        elif start < size and stop > 0:
+            first = max(start, 0) // width
+            offset = first * width  # flat index of the run, within the group
+            for prefix in islice(product(*heads), first, None):
+                if offset >= stop:
+                    return
+                yield prefix, lasts[max(start - offset, 0) : stop - offset]
+                offset += width
+        start -= size
+        stop -= size
 
 
 def _blocks(p: int, n: int, lo: int, hi: int):
     """The representatives of the (p, 1, n) box with flat index in [lo, hi).
 
-    Yields (matrices, weight) per block: matrices() returns a fresh
-    iterator over the block's row tuples, each of which stands for
+    Yields (runs, weight) per block: runs() returns a fresh _walk over
+    the block's (prefix, lasts) runs, in which each matrix stands for
     weight matrices.  A representative has a non-decreasing diagonal and
     a01 <= a10.  Per sorted diagonal, the representatives with a01 < a10
     come first, then those with a01 = a10; each block is ordered by
@@ -457,7 +514,7 @@ def _blocks(p: int, n: int, lo: int, hi: int):
     similarity reaches, times 2 for its transpose when a01 < a10.
     """
     if n == 1:
-        yield partial(_walk, [([(x,) for x in range(p)],)], [], lo, hi), 1
+        yield partial(_walk, [([(x,) for x in range(p)],)], lo, hi), 1
         return
     tail = p ** (n * n - n - 2)  # representatives per (a01, a10) pair
     fills = tuple(product(range(p), repeat=n - 2))  # rest of rows 0 and 1
@@ -474,15 +531,15 @@ def _blocks(p: int, n: int, lo: int, hi: int):
         row1 = [[(y, d1) + f for f in fills] for y in range(p)]
         rest = [[f[:i] + (d,) + f[i:] for f in row_fills] for i, d in enumerate(diag) if i >= 2]
         weight = _arrangements(diag)
-        # one product per a01 in each block: row 1 over every a10 > a01
+        # one group per a01 in each block: row 1 over every a10 > a01
         # (strict), then with a10 = a01 (tied)
-        strict = [(row0[x], [r for y in range(x + 1, p) for r in row1[y]]) for x in range(p)]
-        tied = list(zip(row0, row1))
+        strict = [(row0[x], [r for y in range(x + 1, p) for r in row1[y]], *rest) for x in range(p)]
+        tied = [(row0[x], row1[x], *rest) for x in range(p)]
         for groups, pairs, mult in ((strict, comb(p, 2), 2), (tied, p, 1)):
             size = pairs * tail
             count = min(size - skip, left)
             if count > 0:
-                yield partial(_walk, groups, rest, skip, skip + count), weight * mult
+                yield partial(_walk, groups, skip, skip + count), weight * mult
                 left -= count
             skip = max(skip - size, 0)
 
@@ -545,47 +602,49 @@ def _tally_range(args: tuple[int, int, int, int, int]) -> Counter:
     only ranks 1 .. n-2 classify their lifts one by one.
     """
     p, m, n, lo, hi = args
-    signature, vt = _signature(n), _valuation_table(p, m, n)
+    sigs, vt = _signatures(n), _valuation_table(p, m, n)
     tally: Counter = Counter()
 
-    def count_block(matrices, weight):
-        sigs = Counter(map(signature, matrices(), repeat(vt)))
-        outcomes = [(_outcome(sig), count) for sig, count in sigs.items()]
+    def count_block(runs, weight):
+        counts = Counter(chain.from_iterable(sigs(prefix, lasts, vt) for prefix, lasts in runs()))
+        outcomes = [(_outcome(sig), count) for sig, count in counts.items()]
         if any(char and not corr for (char, corr, _), _ in outcomes):
-            for rows in matrices():
-                char, corr, _ = _outcome(signature(rows, vt))
-                if char and not corr:
-                    raise AssertionError(
-                        f"characterized but not correspondent at p={p}, m={m}: "
-                        f"{[list(r) for r in rows]}"
-                    )
+            for prefix, lasts in runs():
+                for last, sig in zip(lasts, sigs(prefix, lasts, vt)):
+                    char, corr, _ = _outcome(sig)
+                    if char and not corr:
+                        raise AssertionError(
+                            f"characterized but not correspondent at p={p}, m={m}: "
+                            f"{[list(r) for r in (*prefix, last)]}"
+                        )
         for outcome, count in outcomes:
             tally[outcome] += weight * count
 
     if m == 1:
-        for matrices, weight in _blocks(p, n, lo, hi):
-            count_block(matrices, weight)
+        for runs, weight in _blocks(p, n, lo, hi):
+            count_block(runs, weight)
         return tally
 
     vt1 = _valuation_table(p, 1, n)
     units = (0,) * (n - 1)
-    for matrices, weight in _blocks(p, n, lo, hi):
-        for cls in matrices():
-            sig = signature(cls, vt1)
-            rank = sig[n:].count(0)  # Delta_k = 0 iff some k x k minor is a unit
-            char = sig[: n - 1] == units  # f_1 .. f_{n-1} units
-            if rank == n:
-                tally[char, True, (n, *units, 0)] += weight * p ** ((m - 1) * n * n)
-            elif rank == 0:
-                below = _tally_range((p, m - 1, n, 0, _representative_count(p, n)))
-                for (c, r, (k, *exps)), w in below.items():
-                    tally[c, r, (k, *(e + 1 for e in exps))] += weight * w
-            elif rank == n - 1:
-                corr = sig[n - 2] == 0  # f_{n-1} a unit
-                for key, w in _corank_one_keys(cls, p, m, vt).items():
-                    tally[char, corr, key] += weight * w
-            else:
-                count_block(partial(product, *[_lifts(row, p, m) for row in cls]), weight)
+    class_size = p ** ((m - 1) * n * n)
+    for runs, weight in _blocks(p, n, lo, hi):
+        for prefix, lasts in runs():
+            for last, sig in zip(lasts, sigs(prefix, lasts, vt1)):
+                rank = sig[n:].count(0)  # Delta_k = 0 iff some k x k minor is a unit
+                char = sig[: n - 1] == units  # f_1 .. f_{n-1} units
+                if rank == n:
+                    tally[char, True, (n, *units, 0)] += weight * class_size
+                elif rank == 0:
+                    below = _tally_range((p, m - 1, n, 0, _representative_count(p, n)))
+                    for (c, r, (k, *exps)), w in below.items():
+                        tally[c, r, (k, *(e + 1 for e in exps))] += weight * w
+                elif rank == n - 1:
+                    corr = sig[n - 2] == 0  # f_{n-1} a unit
+                    for key, w in _corank_one_keys((*prefix, last), p, m, vt).items():
+                        tally[char, corr, key] += weight * w
+                else:
+                    count_block(partial(_walk, [[_lifts(row, p, m) for row in (*prefix, last)]], 0, class_size), weight)
     return tally
 
 
@@ -622,7 +681,11 @@ def enumerate_density(
         raise ValueError(f"threads must be >= 1, got {threads}")
 
     reps = _representative_count(p, n)
-    if threads == 1 or total < 4096:
+    # Workers pay off only for matrices classified one by one: every
+    # representative for m = 1, and for m >= 2 at most every lift of a
+    # class, none at n <= 2, where every class is counted whole.
+    one_by_one = reps if m == 1 else reps * p ** ((m - 1) * n * n) if n > 2 else 0
+    if threads == 1 or one_by_one < 4096:
         tally = _tally_range((p, m, n, 0, reps))
     else:
         import multiprocessing as mp

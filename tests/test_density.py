@@ -81,14 +81,56 @@ def test_json_round_trip():
 
 
 def test_thread_counts_agree():
-    # every cell clears the 4096-matrix serial cutoff, so the pool runs;
-    # (2,1,4) has only 5 sorted diagonals, so 3 workers split inside them,
-    # and (3,1,3) splits inside the strict and tied pair blocks of an n=3 cell
-    for cell in [(3, 2, 2), (2, 1, 4), (3, 1, 3)]:
+    # (3,2,2) counts every class whole, so it runs serially for any worker
+    # count; the other cells classify at least 4096 matrices one by one, so
+    # the pool runs.  (2,1,4) has only 5 sorted diagonals, so 3 workers
+    # split inside them, (3,1,3) splits inside the strict and tied pair
+    # blocks of an n=3 cell, and (2,2,3) splits the classes mod 2 whose
+    # rank 1 lifts are classified one by one
+    for cell in [(3, 2, 2), (2, 1, 4), (3, 1, 3), (2, 2, 3)]:
         for convention in Convention:
             serial = enumerate_density(*cell, convention=convention, threads=1)
             for threads in (2, 3):
                 assert enumerate_density(*cell, convention=convention, threads=threads) == serial
+
+
+@pytest.mark.parametrize(
+    "cell, cuts",
+    [
+        # per sorted diagonal, 3 strict representatives (a01 = 0: 2, a01 = 1:
+        # 1, a01 = 2: none) then 3 tied; 1 cuts the a01 = 0 run, 3 is the
+        # strict/tied edge where the empty a01 = 2 group sits, 6 and 18 are
+        # diagonal edges
+        ((3, 1, 2), [1, 3, 6, 7, 18, 20]),
+        # runs of 9 last rows; per diagonal, strict groups of 162, 81 and
+        # none, then 243 tied
+        ((3, 1, 3), [4, 162, 200, 243, 486, 1000]),
+        # runs of 8; per diagonal, one strict group of 1024 and an empty
+        # one, then 2048 tied
+        ((2, 1, 4), [3, 1024, 2001, 3072, 7001]),
+        # classes mod 2 in runs of 4; per diagonal 16 strict, then 32 tied
+        ((2, 2, 3), [2, 16, 50, 96, 101]),
+    ],
+)
+def test_tallies_split_anywhere_sum_to_the_whole(cell, cuts):
+    import padicsmith.density as density
+
+    p, m, n = cell
+    reps = density._representative_count(p, n)
+    bounds = [0, *cuts, reps]
+    parts = [density._tally_range((p, m, n, lo, hi)) for lo, hi in zip(bounds, bounds[1:])]
+    assert sum(parts, Counter()) == density._tally_range((p, m, n, 0, reps))
+
+
+def test_no_pool_when_every_class_is_counted_whole(monkeypatch):
+    # m >= 2 and n = 2: no class has a rank between 1 and n-2, so no matrix
+    # is classified one by one and workers would only add their start-up
+    def no_pool(*args, **kwargs):
+        raise AssertionError("multiprocessing.Pool started")
+
+    serial = enumerate_density(3, 3, 2)
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    assert enumerate_density(3, 3, 2, threads=2) == serial
 
 
 @lru_cache(maxsize=None)
@@ -211,31 +253,35 @@ def test_counterexample_among_lifts_names_its_matrix(monkeypatch):
 )
 def test_counterexample_witness_is_independent_of_worker_count(monkeypatch):
     # The plant sits in an m = 1 cell: for m >= 2 most classes are counted
-    # whole and never reach _signature.  (3,1,3) has 10 sorted diagonals of
-    # 486 representatives each.  Every matrix on the diagonals (0,1,1) and
-    # (0,2,2) is planted as a counterexample.  (0,1,1) is the 4th diagonal,
-    # starting at index 1458, late in job 0 for 2 and 3 workers, while job 1
-    # opens on (0,2,2) for 2 workers and inside (0,1,1) for 3.  Each
-    # signature sleeps, so job 1 fails long before job 0 does; the witness
-    # must still be the first planted matrix in flat order.
+    # whole and their lifts never reach the signature kernel.  (3,1,3) has
+    # 10 sorted diagonals of 486 representatives each.  Every matrix on the
+    # diagonals (0,1,1) and (0,2,2) is planted as a counterexample, one
+    # planted signature per last row of a kernel call.  (0,1,1) is the 4th
+    # diagonal, starting at index 1458, late in job 0 for 2 and 3 workers,
+    # while job 1 opens on (0,2,2) for 2 workers and inside (0,1,1) for 3.
+    # Each signature sleeps, so job 1 fails long before job 0 does; the
+    # witness must still be the first planted matrix in flat order.
     import padicsmith.density as density
 
-    real_signature, real_outcome = density._signature, density._outcome
+    real_signatures, real_outcome = density._signatures, density._outcome
     planted = {(0, 1, 1), (0, 2, 2)}
 
-    def slow_signature(n):
-        signature = real_signature(n)
+    def slow_signatures(n):
+        signatures = real_signatures(n)
 
-        def sig(rows, vt):
-            time.sleep(0.0005)
-            return "planted" if (rows[0][0], rows[1][1], rows[2][2]) in planted else signature(rows, vt)
+        def sigs(prefix, lasts, vt):
+            time.sleep(0.0005 * len(lasts))
+            return [
+                "planted" if (prefix[0][0], prefix[1][1], last[2]) in planted else sig
+                for last, sig in zip(lasts, signatures(prefix, lasts, vt))
+            ]
 
-        return sig
+        return sigs
 
     def outcome(sig):
         return (True, False, (3, 0, 0, 0)) if sig == "planted" else real_outcome(sig)
 
-    monkeypatch.setattr(density, "_signature", slow_signature)
+    monkeypatch.setattr(density, "_signatures", slow_signatures)
     monkeypatch.setattr(density, "_outcome", outcome)
     for threads in (1, 2, 3):
         with pytest.raises(AssertionError, match=r"m=1: \[\[0, 0, 0\], \[1, 1, 0\], \[0, 0, 1\]\]$"):
