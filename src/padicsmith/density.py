@@ -39,11 +39,15 @@ a run computes those minors once, with each prefix part of a principal
 sum and the gcd of the prefix k x k minors.  Per last row only the
 minors on row n-1 remain.  Delta_k, the least valuation of a k x k
 minor, is the valuation of gcd(prefix gcd, their k x k minors), since
-v_p(gcd) = min v_p.  This batched classifier is generated as
-straight-line source and compiled once per n, because the same steps
-run as loops in Python are several times slower per matrix.  Valuations come from a per-cell table.  A box has
-few distinct signatures, so the outcome of each is decided once,
-without building a Newton polygon.  With the Smith exponents
+v_p(gcd) = min v_p.  A minor on row n-1 expands along that row into
+prefix minors and enters no larger minor, so it is a leaf: the
+principal ones feed f_k, the others only the gcd for Delta_k.  When the
+prefix gcd is a unit, Delta_k = 0 without them, and they are not
+computed.  This batched classifier is generated as straight-line source
+and compiled once per n, because the same steps run as loops in Python
+are several times slower per matrix.  Valuations come from a per-cell
+table.  A box has few distinct signatures, so the outcome of each is
+decided once, without building a Newton polygon.  With the Smith exponents
 e_1 <= ... <= e_r and Delta_k = e_1 + ... + e_k, the valuation of the
 k-th determinantal divisor, each coefficient f_k of the
 characteristic polynomial is a signed sum of principal k x k minors, so
@@ -71,12 +75,16 @@ off A0's own signature, and split the classes into strata:
   only possible Hodge vertex, and f_n = +-det meets Delta_n whenever the
   lift is nonsingular.  The class is characterized exactly when
   f_1, ..., f_{n-1} are units and correspondent exactly when f_{n-1} is;
-  only the key needs v(det).  det is affine in an entry whose cofactor c
-  is a unit, det = d + p t c over that entry's lifts t < p^(m-1) with
-  d = 0 mod p, so det mod p^m meets each multiple of p once: per lift of
-  the other n^2 - 1 entries, (p-1) p^(m-1-j) lifts have v(det) = j for
-  1 <= j < m, and the one with det = 0 mod p^m takes its key from its
+  only the key needs v(det).  Ordered as [[M, u], [w, x]] around an
+  entry x whose cofactor c = det M is a unit, det = x c - w adj(M) u is
+  affine in x, so over the p^(m-1) lifts of x, det mod p^m meets each
+  multiple of p once: per lift of the other n^2 - 1 entries,
+  (p-1) p^(m-1-j) lifts have v(det) = j for 1 <= j < m, and the one with
+  det = 0 mod p^m, x = w adj(M) u c^-1 mod p^m, takes its key from its
   exact det, (n, 0, ..., 0, e) with e >= m or (n-1, 0, ..., 0) for 0.
+  That x is a lift of the class's own entry because det A0 = 0 mod p and
+  c is a unit.  adj(M) is computed once per lift of M and adj(M) u once
+  per lift of u.
 - A0 = 0: the lifts are pB with B over [0, p^(m-1)).  Scaling by p adds
   1 to every Smith exponent and k to v(f_k), which keeps the Hodge test,
   so this class is the tally of cell (p, m-1, n) with each exponent
@@ -102,6 +110,13 @@ from .exact import BudgetExceededError, IntMatrix, UnsupportedSizeError, _det_ro
 from .smith import local_profile
 
 DEFAULT_BUDGET = 2**30
+
+# Fewest matrices classified one by one for which enumerate_density starts
+# workers.  Two workers take some 15-30 ms to start and merge (2 vCPUs,
+# CPython 3.11).  They lose on every cell of the density table, up to
+# (2,2,3), which counts 98304 (34 ms serially, 36-49 ms on two), and win
+# from (5,1,3), which counts 328125 (244 ms serially, 150 ms on two).
+_POOL_MIN_ONE_BY_ONE = 2**17
 
 # gl_count brute-forces the closed form up to this many residue matrices
 GL_EXHAUSTIVE_BUDGET = 2**20
@@ -320,6 +335,12 @@ def _signatures(n: int):
     n-1: Delta_k = vt[gcd(g<k>, <their k x k minors>)], where
     gcd(0, ..., 0) = 0 maps to _VAL_OF_ZERO.
 
+    No minor expands into one on row n-1, so those are leaves: the
+    principal ones feed f_k and stay statements, the others feed only the
+    gcd and are written inline in it.  Delta_k <= v(g<k>), so when g<k> is
+    a unit, u<k> per prefix, Delta_k = 0 and the gcd, with its inline
+    minors, is not evaluated.
+
     The recurrence is emitted as straight-line source and compiled once
     per n: the same steps as a loop over an index plan of minor slots
     took about 7 times as long per matrix at n = 3 and 4 (CPython
@@ -335,19 +356,26 @@ def _signatures(n: int):
     head = [f"    {''.join(_row(i, n) + ', ' for i in idx[:-1])}= prefix"] if n > 1 else []
     body, fv, dv = [], [], []
     for k in range(1, n + 1):
-        off, on = [], []  # k x k minors off and on row n-1
+        off, on = [], []  # k x k minors off row n-1, and sources of those on it
         for R in combinations(idx, k):
-            lines, minors, indent = (body, on, " " * 8) if last in R else (head, off, " " * 4)
             for C in combinations(idx, k):
-                minors.append(_minor(R, C))
-                if k > 1:
-                    lines.append(f"{indent}{_minor(R, C)} = {_laplace(R, C)}")
+                name = _minor(R, C)
+                if last not in R:
+                    off.append(name)
+                    if k > 1:
+                        head.append(f"    {name} = {_laplace(R, C)}")
+                elif R == C and k > 1:
+                    body.append(f"        {name} = {_laplace(R, C)}")
+                    on.append(name)
+                else:  # a leaf read by the gcd alone: inline, skipped under u<k>
+                    on.append(_laplace(R, C) if k > 1 else name)
         principal = " + ".join(_minor(S, S) for S in combinations(idx, k) if last in S)
         if k < n:
             head.append(f"    f{k} = {' + '.join(_minor(S, S) for S in combinations(idx[:-1], k))}")
             head.append(f"    g{k} = gcd({', '.join(off)})")
+            head.append(f"    u{k} = vt[g{k}] == 0")
             fv.append(f"vt[f{k} + {principal}]")
-            dv.append(f"vt[gcd(g{k}, {', '.join(on)})]")
+            dv.append(f"0 if u{k} else vt[gcd(g{k}, {', '.join(on)})]")
         else:
             fv.append(f"vt[{principal}]")
             dv.append(f"vt[{principal}]")
@@ -370,21 +398,43 @@ def _signature(n: int):
 
 
 @lru_cache(maxsize=None)
-def _pivot(n: int):
-    """The function pivot(rows) -> (det, c) for n x n matrices, n >= 2.
+def _deep_valuations(n: int):
+    """The kernel deep(Ms, us, ws, q, vt) for a class of rank n - 1, n >= 2.
 
-    c is the leading (n-1) x (n-1) minor, the cofactor of entry
-    (n-1, n-1): det = a_{n-1,n-1} * c + (terms free of that entry).  The
-    same recurrence as _signatures, restricted to the minors on leading
-    rows that the expansion of det along its last row needs.
+    The class is ordered as [[M, u], [w, x]] with M of size n - 1 and
+    det M a unit mod p.  Ms, us and ws run over the lifts of M (as rows),
+    of the column u and of the row w.  Each such lift has one lift of x
+    with det = 0 mod q, and the kernel returns how many have each
+    vt[det], as a dict.  From det = x det M - w adj(M) u, with c = det M
+    and s = w adj(M) u, that lift is x* = s c^-1 mod q and
+    det = x* c - s.  c, its inverse and the minors of M up to size n - 2,
+    the largest of which are the entries of adj(M) up to sign, are
+    computed once per lift of M, v = adj(M) u once per lift of u, and only
+    s = w v per lift of w.
     """
-    idx = tuple(range(n))
-    lines = [f"    {''.join(_row(i, n) + ', ' for i in idx)}= rows"]
-    for k in range(2, n + 1):
-        for C in combinations(idx, k) if k < n else [idx]:
-            lines.append(f"    {_minor(idx[:k], C)} = {_laplace(idx[:k], C)}")
-    lines.append(f"    return {_minor(idx, idx)}, {_minor(idx[:-1], idx[:-1])}")
-    return _compile(f"pivot_n{n}", "rows", lines)
+    size = n - 1
+    idx = tuple(range(size))
+    lines = ["    out = {}", f"    for {''.join(_row(i, size) + ', ' for i in idx)}in Ms:"]
+    for k in range(2, size):
+        for R in combinations(idx, k):
+            lines.extend(f"        {_minor(R, C)} = {_laplace(R, C)}" for C in combinations(idx, k))
+    lines.append(f"        c = {_laplace(idx, idx) if size > 1 else _minor(idx, idx)}")
+    lines.append("        ci = pow(c, -1, q)")
+    lines.append(f"        for {''.join(f'u{j}, ' for j in idx)}in us:")
+    for i in idx:
+        # adj(M)[i][j] = (-1)^(i+j) times the minor of M without row j and column i
+        terms = ([], [])
+        for j in idx:
+            rest = tuple(r for r in idx if r != j), tuple(c for c in idx if c != i)
+            terms[(i + j) % 2].append(f"{_minor(*rest)} * u{j}" if size > 1 else f"u{j}")
+        plus, minus = terms
+        lines.append(f"            v{i} = {' + '.join(plus)}{''.join(f' - {t}' for t in minus)}")
+    lines.append(f"            for {''.join(f'w{i}, ' for i in idx)}in ws:")
+    lines.append(f"                s = {' + '.join(f'w{i} * v{i}' for i in idx)}")
+    lines.append("                e = vt[s * ci % q * c - s]")
+    lines.append("                out[e] = out.get(e, 0) + 1")
+    lines.append("    return out")
+    return _compile(f"deep_valuations_n{n}", "Ms, us, ws, q, vt", lines)
 
 
 def _hodge_test(fv: tuple[int, ...], dv: tuple[int, ...]) -> tuple[bool, bool]:
@@ -553,12 +603,15 @@ def _corank_one_keys(cls, p: int, m: int, vt) -> Counter:
     """Partition keys of the lifts of a class of rank n - 1 mod p, counted.
 
     e_1 = ... = e_{n-1} = 0 on every lift, so the key only needs
-    v(det) >= 1.  det is affine in an entry whose cofactor c is a unit:
-    over the p^(m-1) lifts of that entry, det = d + p t c with d = 0
-    mod p, so det mod p^m meets every multiple of p once.  Per lift of
-    the other n^2 - 1 entries, (p-1) p^(m-1-j) pivot lifts have
-    v(det) = j for 1 <= j < m, and the one with det = 0 mod p^m gets its
-    key from its exact det.
+    v(det) >= 1.  Order the class as [[M, u], [w, x]] with det M a unit
+    mod p, by moving an entry with a unit cofactor to (n-1, n-1).  Then
+    det = x c - s with c = det M and s = w adj(M) u, and det is affine in
+    x: over the p^(m-1) lifts of x it meets every multiple of p mod p^m
+    once.  Per lift of the other n^2 - 1 entries, (p-1) p^(m-1-j) lifts
+    of x have v(det) = j for 1 <= j < m, and the one with det = 0 mod p^m,
+    x* = s c^-1 mod p^m, gets its key from its exact det.  x* lies in the
+    class without a check: det of the class is 0 mod p, so x c = s mod p
+    for x the class's own entry, and c is a unit.
     """
     n = len(cls)
     idx = range(n)
@@ -575,16 +628,16 @@ def _corank_one_keys(cls, p: int, m: int, vt) -> Counter:
     i, j = pivot
     rows = [r for r in idx if r != i] + [i]
     cols = [c for c in idx if c != j] + [j]
-    *upper, (*last, a) = [[cls[r][c] for c in cols] for r in rows]
-    # every lift of the other entries, the pivot at its t = 0 lift a
-    lifted = [_lifts(row, p, m) for row in upper] + [[f + (a,) for f in _lifts(last, p, m)]]
-    step = p ** (m - 1)
-    deep: Counter = Counter()
-    for (d, c), count in Counter(map(_pivot(n), product(*lifted))).items():
-        t = -(d // p) * pow(c, -1, step) % step
-        deep[vt[d + p * t * c]] += count
+    *upper, last = [[cls[r][c] for c in cols] for r in rows]
+    deep = _deep_valuations(n)(
+        product(*(_lifts(row[:-1], p, m) for row in upper)),
+        _lifts([row[-1] for row in upper], p, m),
+        _lifts(last[:-1], p, m),
+        p**m,
+        vt,
+    )
     units = (0,) * (n - 1)
-    shallow = step ** (n * n - 1)  # lifts of the other entries
+    shallow = p ** ((m - 1) * (n * n - 1))  # lifts of the other entries
     keys = Counter({(n, *units, j): shallow * (p - 1) * p ** (m - 1 - j) for j in range(1, m)})
     for e, count in deep.items():
         keys[(n - 1, *units) if e == _VAL_OF_ZERO else (n, *units, e)] += count
@@ -685,7 +738,7 @@ def enumerate_density(
     # representative for m = 1, and for m >= 2 at most every lift of a
     # class, none at n <= 2, where every class is counted whole.
     one_by_one = reps if m == 1 else reps * p ** ((m - 1) * n * n) if n > 2 else 0
-    if threads == 1 or one_by_one < 4096:
+    if threads == 1 or one_by_one < _POOL_MIN_ONE_BY_ONE:
         tally = _tally_range((p, m, n, 0, reps))
     else:
         import multiprocessing as mp

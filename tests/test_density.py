@@ -80,13 +80,17 @@ def test_json_round_trip():
     assert obj["partitions"]["1,1"] == {"size": 6, "char_count": 2}
 
 
-def test_thread_counts_agree():
-    # (3,2,2) counts every class whole, so it runs serially for any worker
-    # count; the other cells classify at least 4096 matrices one by one, so
-    # the pool runs.  (2,1,4) has only 5 sorted diagonals, so 3 workers
-    # split inside them, (3,1,3) splits inside the strict and tied pair
-    # blocks of an n=3 cell, and (2,2,3) splits the classes mod 2 whose
-    # rank 1 lifts are classified one by one
+def test_thread_counts_agree(monkeypatch):
+    # These cells are too small to start workers by themselves, so the
+    # pool threshold is lowered to one matrix classified one by one.
+    # (3,2,2) counts every class whole, so it still runs serially for any
+    # worker count; the others run the pool.  (2,1,4) has only 5 sorted
+    # diagonals, so 3 workers split inside them, (3,1,3) splits inside
+    # the strict and tied pair blocks of an n=3 cell, and (2,2,3) splits
+    # the classes mod 2 whose rank 1 lifts are classified one by one
+    import padicsmith.density as density
+
+    monkeypatch.setattr(density, "_POOL_MIN_ONE_BY_ONE", 1)
     for cell in [(3, 2, 2), (2, 1, 4), (3, 1, 3), (2, 2, 3)]:
         for convention in Convention:
             serial = enumerate_density(*cell, convention=convention, threads=1)
@@ -131,6 +135,18 @@ def test_no_pool_when_every_class_is_counted_whole(monkeypatch):
     serial = enumerate_density(3, 3, 2)
     monkeypatch.setattr(multiprocessing, "Pool", no_pool)
     assert enumerate_density(3, 3, 2, threads=2) == serial
+
+
+def test_no_pool_below_the_break_even(monkeypatch):
+    # (2,1,4) classifies 15360 representatives and (2,2,3) at most 98304
+    # lifts one by one; serially each takes tens of milliseconds, less
+    # than two workers take to start and merge
+    def no_pool(*args, **kwargs):
+        raise AssertionError("multiprocessing.Pool started")
+
+    serial = [enumerate_density(2, 1, 4), enumerate_density(2, 2, 3)]
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    assert [enumerate_density(2, 1, 4, threads=2), enumerate_density(2, 2, 3, threads=2)] == serial
 
 
 @lru_cache(maxsize=None)
@@ -283,6 +299,7 @@ def test_counterexample_witness_is_independent_of_worker_count(monkeypatch):
 
     monkeypatch.setattr(density, "_signatures", slow_signatures)
     monkeypatch.setattr(density, "_outcome", outcome)
+    monkeypatch.setattr(density, "_POOL_MIN_ONE_BY_ONE", 1)  # (3,1,3) alone would run serially
     for threads in (1, 2, 3):
         with pytest.raises(AssertionError, match=r"m=1: \[\[0, 0, 0\], \[1, 1, 0\], \[0, 0, 1\]\]$"):
             enumerate_density(3, 1, 3, threads=threads)
@@ -293,21 +310,21 @@ def test_budget_guard():
         enumerate_density(2, 9, 3, budget=2**20)
 
 
+def _analyze_outcome(rows, p, m):
+    """classify_residue_matrix's result, from classify.analyze."""
+    A = IntMatrix.from_rows(rows)
+    rep = analyze(A, p)
+    in_filter = rep.rank == len(rows) and val_p(det(A), p) < m
+    return rep.p_characterized, rep.p_correspondent, (rep.rank,) + rep.profile, in_filter
+
+
 def test_fast_classifier_matches_analyze_exhaustively():
     # the n=3 boxes pin the Hodge-vertex test to analyze's Newton polygon
     for p, m, n in [(2, 1, 2), (3, 1, 2), (2, 1, 3), (3, 1, 3)]:
         q = p**m
         for flat in product(range(q), repeat=n * n):
             rows = [list(flat[i * n : (i + 1) * n]) for i in range(n)]
-            A = IntMatrix.from_rows(rows)
-            rep = analyze(A, p)
-            want = (
-                rep.p_characterized,
-                rep.p_correspondent,
-                (rep.rank,) + rep.profile,
-                rep.rank == n and val_p(det(A), p) < m,
-            )
-            assert classify_residue_matrix(rows, p, m) == want
+            assert classify_residue_matrix(rows, p, m) == _analyze_outcome(rows, p, m)
 
 
 def test_classifier_rejects_entries_outside_the_box():
@@ -347,15 +364,78 @@ def test_fast_classifier_matches_analyze_sampled(cell, pick):
             x, r = divmod(x * 1103515245 + 12345 + i * n + j, q)
             row.append(r)
         rows.append(row)
-    A = IntMatrix.from_rows(rows)
-    rep = analyze(A, p)
-    want = (
-        rep.p_characterized,
-        rep.p_correspondent,
-        (rep.rank,) + rep.profile,
-        rep.rank == n and val_p(det(A), p) < m,
+    assert classify_residue_matrix(rows, p, m) == _analyze_outcome(rows, p, m)
+
+
+def _low_rank_prefix_matrix(p, m, n, rank, rng):
+    """A matrix over [0, p^m) whose rows 0 .. n-2 have rank at most rank mod p.
+
+    rank random rows, the others each a row scaled by p (zero mod p), a
+    repeated row, or a multiple of one plus a row scaled by p, in random
+    order; row n-1 is random.
+    """
+    q = p**m
+    basis = [[rng.randrange(q) for _ in range(n)] for _ in range(rank)]
+    prefix = list(basis)
+    while len(prefix) < n - 1:
+        scaled = [p * rng.randrange(q) % q for _ in range(n)]
+        how = rng.randrange(3) if basis else 0
+        if how == 0:
+            row = scaled
+        elif how == 1:
+            row = list(rng.choice(basis))
+        else:
+            c = rng.randrange(p)
+            row = [(c * a + b) % q for a, b in zip(rng.choice(basis), scaled)]
+        prefix.insert(rng.randrange(len(prefix) + 1), row)
+    return prefix + [[rng.randrange(q) for _ in range(n)]]
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.randoms(use_true_random=False))
+@pytest.mark.parametrize("cell", [(5, 1, 4), (3, 1, 5), (2, 1, 6), (2, 2, 3), (101, 3, 3)])
+def test_fast_classifier_matches_analyze_on_low_rank_prefixes(cell, rng):
+    # The signature kernel reads Delta_k = 0 without its on-row minors when
+    # the gcd of the prefix k x k minors is a unit, i.e. when rows 0 .. n-2
+    # have rank >= k mod p.  Uniform samples at p >= 5 almost never have a
+    # lower prefix rank, so every prefix rank 0 .. n-1 is forced here, and
+    # both branches run at every k.
+    p, m, n = cell
+    for rank in range(n):
+        for _ in range(4):
+            rows = _low_rank_prefix_matrix(p, m, n, rank, rng)
+            assert classify_residue_matrix(rows, p, m) == _analyze_outcome(rows, p, m)
+
+
+@pytest.mark.parametrize(
+    "p, m, cls",
+    [
+        # n = 2: pivots at (0, 0), (1, 0) and (1, 1)
+        (3, 3, [[1, 2], [2, 1]]),
+        (3, 3, [[0, 1], [0, 0]]),
+        (3, 3, [[2, 0], [0, 0]]),
+        # n = 3: a rank-1 block beside a unit, a nilpotent Jordan block and
+        # a dense class
+        (3, 2, [[1, 2, 0], [2, 1, 0], [0, 0, 1]]),
+        (3, 2, [[0, 1, 0], [0, 0, 1], [0, 0, 0]]),
+        (3, 2, [[1, 1, 2], [0, 2, 1], [1, 0, 0]]),
+        # n = 4, which no cell within DEFAULT_BUDGET reaches with m >= 2
+        (2, 2, [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [0, 0, 0, 0]]),
+        (2, 2, [[1, 1, 0, 1], [0, 1, 1, 0], [1, 0, 1, 1], [1, 1, 1, 0]]),
+    ],
+)
+def test_corank_one_keys_match_every_lift(p, m, cls):
+    import padicsmith.density as density
+
+    n, q = len(cls), p**m
+    rank, *exps = classify_residue_matrix(cls, p, 1)[2]
+    assert exps.count(0) == n - 1  # the rank mod p
+    want = Counter(
+        classify_residue_matrix([flat[i * n : (i + 1) * n] for i in range(n)], p, m)[2]
+        for flat in product(*(range(a, q, p) for row in cls for a in row))
     )
-    assert classify_residue_matrix(rows, p, m) == want
+    vt = density._valuation_table(p, m, n)
+    assert density._corank_one_keys(tuple(map(tuple, cls)), p, m, vt) == want
 
 
 def test_gl_order_closed_form():
