@@ -18,7 +18,7 @@ from .exact import (
     Valuation,
     _as_matrix,
     _require_prime,
-    val_p,
+    _val,
     valuation_to_json,
 )
 from .newton import EigenvalueValuations, valuations_from_charpoly
@@ -73,7 +73,7 @@ def analyze(A: MatrixLike, p: int) -> ClassificationReport:
         delta_vals.append(acc)
 
     f = char_poly(A)
-    f_vals = tuple(val_p(f.f(i), p) for i in range(1, r + 1))
+    f_vals = tuple(_val(f.f(i), p) for i in range(1, r + 1))
     characterized = all(fv == dv for fv, dv in zip(f_vals, delta_vals))
 
     eig = valuations_from_charpoly(f, p)

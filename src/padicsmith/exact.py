@@ -131,6 +131,11 @@ def val_p(a: int, p: int) -> Valuation:
         INFINITY
     """
     _require_prime(p)
+    return _val(a, p)
+
+
+def _val(a: int, p: int) -> Valuation:
+    """val_p without the primality check, for callers that checked p once."""
     if a == 0:
         return INFINITY
     a = abs(a)
@@ -147,10 +152,8 @@ def val_p_rat(q: Fraction | int, p: int) -> Valuation:
     q = Fraction(q)
     if q == 0:
         return INFINITY
-    num = val_p(q.numerator, p)
-    den = val_p(q.denominator, p)
-    assert isinstance(num, int) and isinstance(den, int)
-    return num - den
+    # numerator and denominator are nonzero, so both valuations are ints
+    return _val(q.numerator, p) - _val(q.denominator, p)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .charpoly import CharPoly, char_poly
-from .exact import INFINITY, MatrixLike, _require_prime, val_p
+from .exact import MatrixLike, _require_prime, _val
 
 Point = tuple[int, int]
 
@@ -92,9 +92,8 @@ def newton_polygon(f: CharPoly, p: int) -> NewtonPolygon:
     for i in range(1, n + 1):
         c = f.coeffs[i - 1]
         if c:
-            v = val_p(c, p)
-            assert v is not INFINITY
-            points.append((i, v))
+            # c is nonzero, so its valuation is an int
+            points.append((i, _val(c, p)))
     return NewtonPolygon(p=p, degree=n, points=tuple(points))
 
 

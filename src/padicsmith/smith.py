@@ -1,9 +1,17 @@
 """Smith normal form over the integers and its p-local valuation profiles.
 
-The elimination keeps the divisibility chain as it goes: once a pivot is
-settled it divides every entry of the trailing submatrix, so the diagonal
-comes out canonical (non-negative, each factor dividing the next) without
-a separate fix-up pass.
+Two routes, one per question:
+
+- smith_form and determinantal_divisors compute the Smith form over Z.
+  The elimination keeps the divisibility chain as it goes: once a pivot
+  is settled it divides every entry of the trailing submatrix, so the
+  diagonal comes out canonical (non-negative, each factor dividing the
+  next) without a separate fix-up pass.
+- local_profile computes the Smith form over the local ring Z_(p) by
+  unit-pivot elimination.  Multiplying a row by an integer prime to p,
+  or splitting a power of p off the whole block, keeps the Smith form
+  over Z_(p), whose exponents are the valuations at p of the invariant
+  factors over Z.  The integer route is its test oracle.
 """
 
 from __future__ import annotations
@@ -14,14 +22,12 @@ from math import gcd
 from operator import mul
 
 from .exact import (
-    INFINITY,
     IntMatrix,
     MatrixLike,
     UnsupportedSizeError,
     _as_matrix,
     _det_rows,
     _require_prime,
-    val_p,
 )
 
 # Minor-GCD determinantal divisors are combinatorial (sum over C(n,i)^2
@@ -178,11 +184,49 @@ def determinantal_divisors(A: MatrixLike) -> tuple[int, ...]:
 
 
 def local_profile(A: MatrixLike, p: int) -> LocalSmithProfile:
-    """Valuations of the invariant factors of A at p."""
+    """Valuations of the invariant factors of A at p.
+
+    Eliminates over Z_(p) instead of calling smith_form.  The pivot is the
+    first entry, row-major, that p does not divide, and its exponent is
+    the running shift; when p divides every entry, the block is divided by
+    p and the shift goes up by one.  Each row below becomes
+    c*row - b*pivot_row (c the pivot, b the row's entry under it) and is
+    divided by the part of its content prime to p.  Rows are only ever
+    multiplied by units of Z_(p), or the whole block split by p, so the
+    Smith form over Z_(p) is kept.  A unit pivot would clear its own row
+    by column operations touching no other row, so none are carried out.
+    """
     _require_prime(p)
+    rows = [list(r) for r in _as_matrix(A).rows if any(r)]
     exps = []
-    for s in smith_form(A).invariant_factors:
-        v = val_p(s, p)
-        assert v is not INFINITY
-        exps.append(v)
+    shift = 0
+    while rows:
+        # first entry c = top[j] that p does not divide, row-major
+        for i, top in enumerate(rows):
+            for j, c in enumerate(top):
+                if c % p:
+                    break
+            else:
+                continue
+            break
+        else:
+            rows = [[x // p for x in row] for row in rows]
+            shift += 1
+            continue
+        del rows[i]
+        exps.append(shift)
+        rest = []
+        for row in rows:
+            b = row[j]
+            if b:
+                row = [c * x - b * y for x, y in zip(row, top)]
+                g = gcd(*row)
+                if not g:
+                    continue
+                while g % p == 0:
+                    g //= p
+                if g > 1:
+                    row = [x // g for x in row]
+            rest.append(row)
+        rows = rest
     return LocalSmithProfile(p=p, exponents=tuple(exps))

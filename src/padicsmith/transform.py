@@ -68,14 +68,22 @@ def _random_matrix(rng: random.Random, n: int, bound: int) -> IntMatrix:
     )
 
 
-def _attempt(A: IntMatrix, U: IntMatrix, V: IntMatrix, p: int) -> tuple[bool, ClassificationReport | None]:
-    """One sandwich attempt.  Success needs U, V nonsingular mod p and a
-    p-characterized product; that is exactly the event the probabilistic
-    bound counts."""
-    if det(U) % p == 0 or det(V) % p == 0:
-        return False, None
-    report = analyze(U @ A @ V, p)
-    return report.p_characterized, report
+def _attempt(
+    A: IntMatrix, U: IntMatrix, V: IntMatrix, p: int
+) -> tuple[bool, ClassificationReport | None, int, int, IntMatrix | None]:
+    """One sandwich attempt: (success, report, det U, det V, U @ A @ V).
+
+    Success needs U, V nonsingular mod p and a p-characterized product;
+    that is exactly the event the probabilistic bound counts.  When U or
+    V is singular mod p, the product is neither formed nor classified and
+    report and product are None.
+    """
+    det_u, det_v = det(U), det(V)
+    if det_u % p == 0 or det_v % p == 0:
+        return False, None, det_u, det_v, None
+    result = U @ A @ V
+    report = analyze(result, p)
+    return report.p_characterized, report, det_u, det_v, result
 
 
 def sample_correspondent(
@@ -111,7 +119,7 @@ def sample_correspondent(
         else:
             U = _random_matrix(rng, A.n, bound)
             V = _random_matrix(rng, A.n, bound)
-        ok, report = _attempt(A, U, V, p)
+        ok, report, det_u, det_v, result = _attempt(A, U, V, p)
         if report is not None:
             last_report = report
         if ok:
@@ -120,7 +128,7 @@ def sample_correspondent(
                 raise AssertionError(
                     f"attempt {attempt} succeeded without a p-correspondent result (p={p})"
                 )
-            if det(U) % p == 0 or det(V) % p == 0:
+            if det_u % p == 0 or det_v % p == 0:
                 raise AssertionError(
                     f"attempt {attempt} succeeded with a transform singular mod p={p}"
                 )
@@ -130,7 +138,7 @@ def sample_correspondent(
                 attempts=attempt,
                 U=U,
                 V=V,
-                result=U @ A @ V,
+                result=result,
                 report=report,
             )
     raise AttemptsExhaustedError(
@@ -151,8 +159,7 @@ def count_single_attempt_successes(
     for _ in range(trials):
         U = _random_matrix(rng, A.n, bound)
         V = _random_matrix(rng, A.n, bound)
-        ok, _ = _attempt(A, U, V, p)
-        if ok:
+        if _attempt(A, U, V, p)[0]:
             successes += 1
     return successes
 
@@ -223,8 +230,8 @@ def verify_rem_stability(A: MatrixLike, p: int, m: int) -> StabilityReport:
     d = det(A)
     if d == 0:
         raise ValueError("rem-stability is only defined for nonsingular matrices")
+    # d is nonzero, so its valuation is an int
     vd = val_p(d, p)
-    assert isinstance(vd, int)
     if m <= vd:
         raise ValueError(f"m must exceed val_p(det A) = {vd}, got m = {m}")
 

@@ -1,3 +1,4 @@
+import ast
 import io
 import json
 import os
@@ -253,6 +254,20 @@ def test_verify_suites_pass_with_asserts_stripped(suite):
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "PASS" in proc.stdout
     assert "FAIL" not in proc.stdout
+
+
+def test_package_has_no_assert_statements():
+    # python -O drops every assert, so a check that guards a result must raise
+    package = Path(padicsmith.__file__).resolve().parent
+    sources = sorted(package.glob("*.py"))
+    assert sources
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sources
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
 
 
 @pytest.mark.parametrize("suite", ["theorem1", "gl-ratio", "rem-stability", "lemma33", "orbit"])

@@ -3,7 +3,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from padicsmith.exact import IntMatrix, det, rank
+from padicsmith.exact import IntMatrix, det, rank, val_p
 from padicsmith.smith import (
     LocalSmithProfile,
     SmithData,
@@ -200,3 +200,66 @@ def test_gcd_of_entries_is_first_divisor(A):
     divs = determinantal_divisors(A)
     if g:
         assert divs[0] == g
+
+
+def _smith_exponents(A, p):
+    """The oracle: valuations at p of the integer Smith form's invariant factors."""
+    return tuple(val_p(s, p) for s in smith_form(A).invariant_factors)
+
+
+def _rows(draw, r, c, elements=entries):
+    return draw(st.lists(st.lists(elements, min_size=c, max_size=c), min_size=r, max_size=r))
+
+
+@st.composite
+def local_cases(draw):
+    """(A, p) with n <= 8: entries times p^e each, rank-deficient products
+    B diag(p^e) C, or the zero matrix; then the whole matrix times p^k."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    p = draw(st.sampled_from([2, 3, 5, 7, 101]))
+    kind = draw(st.sampled_from(["entries", "product", "zero"]))
+    if kind == "zero":
+        rows = [[0] * n for _ in range(n)]
+    elif kind == "product":
+        k = draw(st.integers(min_value=0, max_value=n - 1))
+        B = _rows(draw, n, k)
+        C = _rows(draw, k, n)
+        scale = [p ** draw(st.integers(min_value=0, max_value=3)) for _ in range(k)]
+        rows = [[sum(B[i][t] * scale[t] * C[t][j] for t in range(k)) for j in range(n)] for i in range(n)]
+    else:
+        # each entry times p^e, so p divides much of the matrix
+        rows = _rows(draw, n, n)
+        powers = _rows(draw, n, n, st.integers(min_value=0, max_value=3))
+        rows = [[x * p**e for x, e in zip(row, pw)] for row, pw in zip(rows, powers)]
+    k = draw(st.integers(min_value=0, max_value=2))
+    return IntMatrix.from_rows([[x * p**k for x in row] for row in rows]), p
+
+
+@settings(max_examples=300)
+@given(local_cases())
+def test_local_profile_matches_integer_smith_form(case):
+    A, p = case
+    assert local_profile(A, p).exponents == _smith_exponents(A, p)
+
+
+@settings(max_examples=8, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=3),
+    st.sampled_from([2, 3, 5, 7, 101]),
+    st.lists(st.integers(min_value=0, max_value=3), min_size=16, max_size=16),
+    st.lists(st.integers(min_value=-1, max_value=1), min_size=120, max_size=120),
+    st.lists(st.integers(min_value=-1, max_value=1), min_size=120, max_size=120),
+)
+def test_local_profile_of_n16_sandwich(corank, p, e, below, above):
+    # U diag(p^e_1, .., p^e_r, 0, ..) V with unit triangular U, V: the
+    # local Smith exponents are sorted(e_1..e_r) by construction
+    n = 16
+    r = n - corank
+    lower, upper = iter(below), iter(above)
+    U = IntMatrix.from_rows([[1 if i == j else (next(lower) if j < i else 0) for j in range(n)] for i in range(n)])
+    V = IntMatrix.from_rows([[1 if i == j else (next(upper) if j > i else 0) for j in range(n)] for i in range(n)])
+    D = IntMatrix.diagonal([p**x for x in e[:r]] + [0] * corank)
+    A = U @ D @ V
+    profile = local_profile(A, p)
+    assert profile.exponents == tuple(sorted(e[:r]))
+    assert profile.exponents == _smith_exponents(A, p)

@@ -52,14 +52,14 @@ def test_success_certificate(hepta):
 PLANTED_CERTIFICATES = """
 import padicsmith.transform as t
 from padicsmith.classify import analyze
-from padicsmith.exact import IntMatrix
+from padicsmith.exact import IntMatrix, det
 
 A = IntMatrix.from_rows({skewed})
 eye, zero = IntMatrix.identity(4), IntMatrix.zeros(4)
 not_correspondent = analyze(A, 2)
 correspondent = analyze(eye, 2)
 for report, pair in ((not_correspondent, (eye, eye)), (correspondent, (zero, eye))):
-    t._attempt = lambda A, U, V, p, report=report: (True, report)
+    t._attempt = lambda A, U, V, p, report=report: (True, report, det(U), det(V), U @ A @ V)
     try:
         t.sample_correspondent(A, 2, pair_source=lambda pair=pair: pair)
     except AssertionError as exc:
