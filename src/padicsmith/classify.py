@@ -17,7 +17,6 @@ from .exact import (
     MatrixLike,
     Valuation,
     _as_matrix,
-    _require_prime,
     _val,
     valuation_to_json,
 )
@@ -63,8 +62,7 @@ def analyze(A: MatrixLike, p: int) -> ClassificationReport:
     its rank is degenerate and is not p-correspondent.
     """
     A = _as_matrix(A)
-    _require_prime(p)
-    prof = local_profile(A, p)
+    prof = local_profile(A, p)  # checks that p is prime
     r = prof.rank
     delta_vals = []
     acc = 0

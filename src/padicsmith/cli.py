@@ -12,7 +12,7 @@ import json
 import random
 import sys
 from fractions import Fraction
-from itertools import groupby
+from itertools import groupby, product
 from pathlib import Path
 
 from .classify import analyze
@@ -29,6 +29,7 @@ from .exact import (
     IntMatrix,
     MatrixParseError,
     UnsupportedSizeError,
+    _require_prime,
     det,
     parse_matrix,
     val_p,
@@ -148,14 +149,21 @@ def cmd_transform(args: argparse.Namespace) -> int:
 
 def _check_theorem1(args: argparse.Namespace) -> list[tuple[bool, str]]:
     p, m, n = args.p or 2, args.m or 1, args.n or 2
-    try:
-        row = enumerate_density(p, m, n, threads=args.threads, budget=args.budget)
-    except AssertionError as exc:
-        return [(False, f"theorem1 p={p} m={m} n={n}: counterexample found ({exc})")]
+    _require_prime(p)
+    total = (p**m) ** (n * n)
+    if total > args.budget:
+        raise BudgetExceededError(
+            f"enumeration space (p^m)^(n^2) = {total} exceeds budget {args.budget}"
+        )
+    for rows in product(product(range(p**m), repeat=n), repeat=n):
+        try:
+            analyze(rows, p)
+        except AssertionError as exc:
+            return [(False, f"theorem1 p={p} m={m} n={n}: counterexample found ({exc})")]
     return [
         (
             True,
-            f"theorem1 p={p} m={m} n={n}: {row.total} matrices, "
+            f"theorem1 p={p} m={m} n={n}: {total} matrices, "
             "0 characterized-but-not-correspondent",
         )
     ]
@@ -209,6 +217,7 @@ def _check_lemma33(args: argparse.Namespace) -> list[tuple[bool, str]]:
     trials = args.trials or 1000
     seed = args.seed or 0
     rng = random.Random(seed)
+    _require_prime(p)  # det(A) % p has no nonzero value to stop on at p = 1
     while True:
         A = IntMatrix.from_rows([[rng.randrange(p) for _ in range(n)] for _ in range(n)])
         if det(A) % p:
@@ -299,12 +308,16 @@ def build_parser() -> argparse.ArgumentParser:
     pt.set_defaults(func=cmd_transform)
 
     pv = sub.add_parser("verify", help="run one property suite, one PASS/FAIL line per check")
-    pv.add_argument("--suite", choices=tuple(VERIFY_SUITES), required=True)
+    pv.add_argument(
+        "--suite",
+        choices=tuple(VERIFY_SUITES),
+        required=True,
+        help="theorem1 runs analyze on every matrix of the (p, m, n) box, if it fits --budget",
+    )
     # omitted means the suite's default; an explicit 0 or negative exits 2
     for flag in ("--p", "--m", "--n", "--bound", "--trials"):
         pv.add_argument(flag, type=positive_int, default=None)
     pv.add_argument("--seed", type=int, default=None)
-    pv.add_argument("--threads", type=positive_int, default=1, help="theorem1 worker processes")
     pv.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     pv.set_defaults(func=cmd_verify)
 

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from padicsmith.classify import analyze, is_p_characterized, is_p_correspondent
@@ -88,6 +89,12 @@ def test_report_json_round_trips(trident):
     assert obj["p_characterized"] is True
     assert obj["profile"] == [0, 1, 2]
     assert obj["eig_vals"]["values"] == ["0/1", "1/1", "2/1"]
+
+
+@pytest.mark.parametrize("p", [0, 1, 4])
+def test_analyze_rejects_non_prime(hepta, p):
+    with pytest.raises(ValueError, match="p must be prime"):
+        analyze(hepta, p)
 
 
 @settings(max_examples=250)

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -273,7 +274,7 @@ def test_package_has_no_assert_statements():
 @pytest.mark.parametrize("suite", ["theorem1", "gl-ratio", "rem-stability", "lemma33", "orbit"])
 def test_verify_rejects_nonpositive_flags(suite, capsys):
     # an explicit 0 used to read as "flag not given" and run the defaults
-    for flag in ("--p", "--m", "--n", "--bound", "--trials", "--threads"):
+    for flag in ("--p", "--m", "--n", "--bound", "--trials"):
         for value in ("0", "-3"):
             with pytest.raises(SystemExit) as exc:
                 main(["verify", "--suite", suite, flag, value])
@@ -281,6 +282,11 @@ def test_verify_rejects_nonpositive_flags(suite, capsys):
             captured = capsys.readouterr()
             assert captured.out == ""
             assert f"argument {flag}: must be a positive integer, got {value}" in captured.err
+    # the worker count belongs to density only
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", suite, "--threads", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("value", ["0", "-5"])
@@ -299,13 +305,61 @@ def test_nonpositive_counts_are_usage_errors(tmp_path, capsys, value):
         assert f"argument {argv[-1]}: must be a positive integer, got {value}" in captured.err
 
 
-def test_verify_theorem1_threads_match_serial(capsys):
-    argv = ["verify", "--suite", "theorem1", "--p", "3", "--m", "2", "--n", "2"]
-    assert main(argv) == 0
-    serial = capsys.readouterr().out
-    assert serial == "PASS theorem1 p=3 m=2 n=2: 6561 matrices, 0 characterized-but-not-correspondent\n"
-    assert main(argv + ["--threads", "2"]) == 0
-    assert capsys.readouterr().out == serial
+def test_verify_theorem1_pinned_line(capsys):
+    assert main(["verify", "--suite", "theorem1", "--p", "3", "--m", "2", "--n", "2"]) == 0
+    out = capsys.readouterr().out
+    assert out == "PASS theorem1 p=3 m=2 n=2: 6561 matrices, 0 characterized-but-not-correspondent\n"
+
+
+def test_verify_theorem1_names_the_failing_matrix(monkeypatch, capsys):
+    import padicsmith.cli as cli
+
+    real, seen = cli.analyze, []
+
+    def planted(A, p):
+        seen.append(tuple(map(tuple, A)))
+        if seen[-1] == ((0, 1), (1, 1)):
+            raise AssertionError(f"planted at {seen[-1]}")
+        return real(A, p)
+
+    monkeypatch.setattr(cli, "analyze", planted)
+    assert main(["verify", "--suite", "theorem1", "--p", "2", "--m", "1", "--n", "2"]) == 1
+    out = capsys.readouterr().out
+    assert out == "FAIL theorem1 p=2 m=1 n=2: counterexample found (planted at ((0, 1), (1, 1)))\n"
+    # flat row-major order, stopping at the first failure
+    assert seen == [((a, b), (c, d)) for a, b, c, d in product(range(2), repeat=4)][:8]
+
+
+def test_verify_theorem1_refuses_a_box_over_budget(monkeypatch, capsys):
+    import padicsmith.cli as cli
+
+    def never(A, p):
+        pytest.fail("analyze called on a box over budget")
+
+    monkeypatch.setattr(cli, "analyze", never)
+    argv = ["verify", "--suite", "theorem1", "--p", "2", "--m", "3", "--n", "3", "--budget", "1000"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "exceeds budget 1000" in captured.err
+
+
+def test_verify_lemma33_rejects_p_one():
+    # det(A) % 1 is always 0, so the search for a matrix invertible mod p
+    # must not start before p is known to be prime
+    env = dict(os.environ)
+    src = str(Path(padicsmith.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "padicsmith.cli", "verify", "--suite", "lemma33", "--p", "1"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "p must be prime" in proc.stderr
 
 
 def test_verify_unknown_suite_is_usage_error(capsys):

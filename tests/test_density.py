@@ -1,5 +1,4 @@
 import multiprocessing
-import time
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -221,88 +220,6 @@ def test_n2_counts_match_closed_form(p, m):
     assert row.total == q**4
     assert row.char_count * (p + 1) * (p**2 + 1) == p**3 * q**4 + p**2 + p + 1
     assert row.corr_count * (p**2 + 1) == p**2 * q**4 + 1
-
-
-def test_counterexample_names_its_matrix(monkeypatch):
-    import padicsmith.density as density
-
-    real = density._outcome
-    # no other representative of (2,1,2) shares this signature
-    witness = density._signature(2)([[0, 1], [1, 1]], density._valuation_table(2, 1, 2))
-
-    def planted(sig):
-        char, corr, key = real(sig)
-        return (True, False, key) if sig == witness else (char, corr, key)
-
-    monkeypatch.setattr(density, "_outcome", planted)
-    with pytest.raises(AssertionError, match=r"\[\[0, 1\], \[1, 1\]\]"):
-        enumerate_density(2, 1, 2)
-
-
-def test_counterexample_among_lifts_names_its_matrix(monkeypatch):
-    # For m >= 2 only the lifts of classes of rank 1 .. n-2 mod p are
-    # classified one by one.  Plant on the signature of diag(1, 2, 2), rank
-    # 1 mod 2, whose Delta_2 = 1 no 0/1 matrix of the A = 0 class's cell
-    # (2,1,3) can reach; the named witness must be a lift with that signature.
-    import ast
-
-    import padicsmith.density as density
-
-    real = density._outcome
-    vt = density._valuation_table(2, 2, 3)
-    witness = density._signature(3)([[1, 0, 0], [0, 2, 0], [0, 0, 2]], vt)
-
-    def planted(sig):
-        char, corr, key = real(sig)
-        return (True, False, key) if sig == witness else (char, corr, key)
-
-    monkeypatch.setattr(density, "_outcome", planted)
-    with pytest.raises(AssertionError, match=r"at p=2, m=2: ") as failure:
-        enumerate_density(2, 2, 3)
-    named = ast.literal_eval(str(failure.value).rsplit(": ", 1)[1])
-    assert named == [[0, 0, 2], [1, 0, 1], [3, 2, 1]]  # rows (0,0,0), (1,0,1), (1,0,1) mod 2
-    assert density._signature(3)(named, vt) == witness
-
-
-@pytest.mark.skipif(
-    multiprocessing.get_start_method() != "fork", reason="workers must inherit the planted functions"
-)
-def test_counterexample_witness_is_independent_of_worker_count(monkeypatch):
-    # The plant sits in an m = 1 cell: for m >= 2 most classes are counted
-    # whole and their lifts never reach the signature kernel.  (3,1,3) has
-    # 10 sorted diagonals of 486 representatives each.  Every matrix on the
-    # diagonals (0,1,1) and (0,2,2) is planted as a counterexample, one
-    # planted signature per last row of a kernel call.  (0,1,1) is the 4th
-    # diagonal, starting at index 1458, late in job 0 for 2 and 3 workers,
-    # while job 1 opens on (0,2,2) for 2 workers and inside (0,1,1) for 3.
-    # Each signature sleeps, so job 1 fails long before job 0 does; the
-    # witness must still be the first planted matrix in flat order.
-    import padicsmith.density as density
-
-    real_signatures, real_outcome = density._signatures, density._outcome
-    planted = {(0, 1, 1), (0, 2, 2)}
-
-    def slow_signatures(n):
-        signatures = real_signatures(n)
-
-        def sigs(prefix, lasts, vt):
-            time.sleep(0.0005 * len(lasts))
-            return [
-                "planted" if (prefix[0][0], prefix[1][1], last[2]) in planted else sig
-                for last, sig in zip(lasts, signatures(prefix, lasts, vt))
-            ]
-
-        return sigs
-
-    def outcome(sig):
-        return (True, False, (3, 0, 0, 0)) if sig == "planted" else real_outcome(sig)
-
-    monkeypatch.setattr(density, "_signatures", slow_signatures)
-    monkeypatch.setattr(density, "_outcome", outcome)
-    monkeypatch.setattr(density, "_POOL_MIN_ONE_BY_ONE", 1)  # (3,1,3) alone would run serially
-    for threads in (1, 2, 3):
-        with pytest.raises(AssertionError, match=r"m=1: \[\[0, 0, 0\], \[1, 1, 0\], \[0, 0, 1\]\]$"):
-            enumerate_density(3, 1, 3, threads=threads)
 
 
 def test_budget_guard():
