@@ -218,13 +218,18 @@ def _check_lemma33(args: argparse.Namespace) -> list[tuple[bool, str]]:
     seed = args.seed or 0
     rng = random.Random(seed)
     _require_prime(p)  # det(A) % p has no nonzero value to stop on at p = 1
+    floor = 1 - single_attempt_failure_bound(n, p)
+    if floor <= 0:
+        raise ValueError(
+            f"lemma33 floor 1 - (n^2+3n)/p = {floor} is vacuous at p={p}, n={n}: "
+            "no success rate can fall below it"
+        )
     while True:
         A = IntMatrix.from_rows([[rng.randrange(p) for _ in range(n)] for _ in range(n)])
         if det(A) % p:
             break
     successes = count_single_attempt_successes(A, p, bound, trials, seed)
     ok = meets_failure_bound(successes, trials, n, p)
-    floor = 1 - single_attempt_failure_bound(n, p)
     return [
         (
             ok,
@@ -235,6 +240,8 @@ def _check_lemma33(args: argparse.Namespace) -> list[tuple[bool, str]]:
 
 
 def _check_orbit(args: argparse.Namespace) -> list[tuple[bool, str]]:
+    if args.p or args.m or args.n:
+        raise ValueError("the orbit suite runs its fixed cells and takes no --p, --m or --n")
     checks = []
     for p, m, exponents in ORBIT_CELLS:
         rep = orbit_stabilizer_check(p, m, exponents, budget=args.budget)

@@ -118,7 +118,7 @@ DEFAULT_BUDGET = 2**30
 # from (5,1,3), which counts 328125 (244 ms serially, 150 ms on two).
 _POOL_MIN_ONE_BY_ONE = 2**17
 
-# gl_count brute-forces the closed form up to this many residue matrices
+# gl_count checks the closed form against an exhaustive count up to this many matrices
 GL_EXHAUSTIVE_BUDGET = 2**20
 
 CSV_HEADER = "p,m,n,pct_char,pct_corr,min_pct_char,total,char_count,corr_count"
@@ -391,13 +391,6 @@ def _signatures(n: int):
 
 
 @lru_cache(maxsize=None)
-def _signature(n: int):
-    """sig(rows, vt): the signature of the one matrix rows, from the kernel."""
-    sigs = _signatures(n)
-    return lambda rows, vt: sigs(rows[:-1], (rows[-1],), vt)[0]
-
-
-@lru_cache(maxsize=None)
 def _deep_valuations(n: int):
     """The kernel deep(Ms, us, ws, q, vt) for a class of rank n - 1, n >= 2.
 
@@ -504,7 +497,7 @@ def classify_residue_matrix(
             f"residue matrix entries must lie in [0, {q}), got {[list(r) for r in rows]}"
         )
     n = len(rows)
-    char, corr, key = _outcome(_signature(n)(rows, _valuation_table(p, m, n)))
+    char, corr, key = _outcome(_signatures(n)(rows[:-1], rows[-1:], _valuation_table(p, m, n))[0])
     return char, corr, key, _det_filtered(key, n, m)
 
 
@@ -788,16 +781,6 @@ class GLCountReport:
     ratio: Fraction
     exhaustive_checked: bool
 
-    def to_json_obj(self) -> dict:
-        return {
-            "p": self.p,
-            "m": self.m,
-            "n": self.n,
-            "order": self.order,
-            "ratio": f"{self.ratio.numerator}/{self.ratio.denominator}",
-            "exhaustive_checked": self.exhaustive_checked,
-        }
-
 
 def gl_order(p: int, m: int, n: int) -> int:
     """|GL_n(Z/p^m Z)| in closed form."""
@@ -810,19 +793,17 @@ def gl_count(p: int, m: int, n: int) -> GLCountReport:
     """Order of GL_n(Z/p^m Z) and the full-space/GL ratio.
 
     The ratio is prod_{k=1..n} 1/(1 - p^-k) < 3.47.  When the residue
-    space fits in GL_EXHAUSTIVE_BUDGET the closed form is verified by
-    brute-force counting of invertible matrices.
+    space fits in GL_EXHAUSTIVE_BUDGET the closed form is verified
+    against the size of the unit class that enumerate_density counts
+    over the whole box.
     """
     order = gl_order(p, m, n)
     space = p ** (m * n * n)
     ratio = Fraction(space, order)
     checked = False
     if space <= GL_EXHAUSTIVE_BUDGET:
-        count = sum(
-            1
-            for rows in product(product(range(p**m), repeat=n), repeat=n)
-            if _det_rows(list(map(list, rows))) % p
-        )
+        # Smith diagonal (1, ..., 1) at p: det is prime to p, so A is invertible mod p^m
+        count = enumerate_density(p, m, n).partitions[(1,) * n].size
         if count != order:
             raise AssertionError(
                 f"exhaustive GL count {count} disagrees with closed form {order}"
@@ -839,16 +820,6 @@ class OrbitCheckReport:
     class_size: int
     pair_count_per_member: int
     ok: bool
-
-    def to_json_obj(self) -> dict:
-        return {
-            "p": self.p,
-            "m": self.m,
-            "exponents": list(self.exponents),
-            "class_size": self.class_size,
-            "pair_count_per_member": self.pair_count_per_member,
-            "ok": self.ok,
-        }
 
 
 def orbit_stabilizer_check(

@@ -375,43 +375,14 @@ def _det_rows(a: list[list[int]]) -> int:
 
 
 def rank(A: MatrixLike) -> int:
-    """Rank over the rationals, by exact integer elimination with full pivoting."""
-    from math import gcd
+    """Rank over the rationals: the number of invariant factors at any prime.
 
-    A = _as_matrix(A)
-    a = [list(row) for row in A.rows]
-    n = A.n
-    r = 0
-    while r < n:
-        # locate any nonzero entry in the trailing submatrix, row-major
-        pos = None
-        for i in range(r, n):
-            for j in range(r, n):
-                if a[i][j]:
-                    pos = (i, j)
-                    break
-            if pos:
-                break
-        if pos is None:
-            break
-        i0, j0 = pos
-        if i0 != r:
-            a[r], a[i0] = a[i0], a[r]
-        if j0 != r:
-            for row in a:
-                row[r], row[j0] = row[j0], row[r]
-        piv = a[r][r]
-        for i in range(r + 1, n):
-            f = a[i][r]
-            if f:
-                a[i] = [x * piv - f * y for x, y in zip(a[i], a[r])]
-                g = 0
-                for x in a[i]:
-                    g = gcd(g, x)
-                if g > 1:
-                    a[i] = [x // g for x in a[i]]
-        r += 1
-    return r
+    local_profile only multiplies rows by units of Z_(2) or divides the
+    block by 2, and neither changes the rank.
+    """
+    from .smith import local_profile  # smith imports this module
+
+    return local_profile(A, 2).rank
 
 
 def valuation_to_json(v: Valuation) -> int | str:

@@ -109,10 +109,6 @@ class EigenvalueValuations:
     values: tuple[Fraction, ...]
     zero_count: int
 
-    @property
-    def n(self) -> int:
-        return len(self.values) + self.zero_count
-
     def to_json_obj(self) -> dict:
         return {
             "p": self.p,

@@ -204,6 +204,7 @@ def test_criterion_7_gl_ratio():
                 rep = gl_count(p, m, n)
                 assert rep.ratio < 4, (p, m, n, rep.ratio)
                 exhaustive += rep.exhaustive_checked
+    assert exhaustive == 29  # every cell with (p^m)^(n^2) <= GL_EXHAUSTIVE_BUDGET
     print(
         f"ACCEPTANCE 7 PASS: unit-fraction ratio below 4 on the 60-cell grid "
         f"({exhaustive} cells verified exhaustively)"

@@ -362,6 +362,23 @@ def test_verify_lemma33_rejects_p_one():
     assert "p must be prime" in proc.stderr
 
 
+def test_verify_lemma33_refuses_a_vacuous_floor(capsys):
+    # at p <= n^2 + 3n the floor 1 - (n^2+3n)/p is <= 0 and no rate can fail it
+    assert main(["verify", "--suite", "lemma33", "--p", "5", "--trials", "50"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "-13/5 is vacuous at p=5, n=3" in captured.err
+
+
+@pytest.mark.parametrize("flag", ["--p", "--m", "--n"])
+def test_verify_orbit_refuses_cell_flags(flag, capsys):
+    # the suite runs ORBIT_CELLS; a flag it would ignore is a usage error
+    assert main(["verify", "--suite", "orbit", flag, "4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "runs its fixed cells" in captured.err
+
+
 def test_verify_unknown_suite_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--suite", "nope"])

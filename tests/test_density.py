@@ -363,6 +363,12 @@ def test_gl_order_closed_form():
 
 
 def test_gl_count_cross_checks_exhaustively():
+    # a witness of the closed form that does not go through enumerate_density
+    for p, m, n in [(2, 1, 2), (2, 2, 2), (3, 1, 2), (2, 1, 3)]:
+        units = sum(
+            1 for rows in product(product(range(p**m), repeat=n), repeat=n) if det(rows) % p
+        )
+        assert units == gl_order(p, m, n) == gl_count(p, m, n).order
     rep = gl_count(2, 2, 2)
     assert rep.order == 96
     assert rep.exhaustive_checked
