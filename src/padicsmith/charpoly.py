@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from operator import mul
 
 from .exact import MatrixLike, UnsupportedSizeError, _as_matrix, _det_rows
 
@@ -53,26 +54,17 @@ def _berkowitz(rows: list[list[int]] | tuple[tuple[int, ...], ...]) -> list[int]
     vec = [1, -rows[n - 1][n - 1]]
     for k in range(2, n + 1):
         top = n - k
-        pivot = rows[top][top]
         R = rows[top][top + 1:]
-        C = [rows[i][top] for i in range(top + 1, n)]
-        width = k - 1
-        toep = [1, -pivot]
-        w = list(C)
+        sub = [row[top + 1:] for row in rows[top + 1:]]
+        toep = [1, -rows[top][top]]
+        w = [row[top] for row in rows[top + 1:]]
         for j in range(2, k + 1):
-            toep.append(-sum(R[i] * w[i] for i in range(width)))
+            toep.append(-sum(map(mul, R, w)))
             if j < k:
-                w = [
-                    sum(rows[top + 1 + i][top + 1 + l] * w[l] for l in range(width))
-                    for i in range(width)
-                ]
-        new = []
-        for i in range(k + 1):
-            acc = 0
-            for j in range(max(0, i - k), min(i, k - 1) + 1):
-                acc += toep[i - j] * vec[j]
-            new.append(acc)
-        vec = new
+                w = [sum(map(mul, r, w)) for r in sub]
+        # Toeplitz product: toep[i::-1][j] is toep[i - j], and map stops
+        # at the end of the shorter list
+        vec = [sum(map(mul, toep[i::-1], vec)) for i in range(k + 1)]
     return vec
 
 

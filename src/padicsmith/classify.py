@@ -10,7 +10,7 @@ Characterized implies correspondent; the converse fails.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from itertools import accumulate
 
 from .charpoly import char_poly
 from .exact import (
@@ -20,7 +20,7 @@ from .exact import (
     _val,
     valuation_to_json,
 )
-from .newton import EigenvalueValuations, valuations_from_charpoly
+from .newton import EigenvalueValuations, _eigenvalue_valuations
 from .smith import local_profile
 
 
@@ -64,24 +64,17 @@ def analyze(A: MatrixLike, p: int) -> ClassificationReport:
     A = _as_matrix(A)
     prof = local_profile(A, p)  # checks that p is prime
     r = prof.rank
-    delta_vals = []
-    acc = 0
-    for e in prof.exponents:
-        acc += e
-        delta_vals.append(acc)
+    delta_vals = tuple(accumulate(prof.exponents))
 
-    f = char_poly(A)
-    f_vals = tuple(_val(f.f(i), p) for i in range(1, r + 1))
-    characterized = all(fv == dv for fv, dv in zip(f_vals, delta_vals))
+    vals = [_val(c, p) for c in char_poly(A).coeffs]
+    f_vals = tuple(vals[:r])
+    characterized = f_vals == delta_vals
 
-    eig = valuations_from_charpoly(f, p)
-    degenerate = r > 0 and len(eig.values) < r
-    if r == 0:
-        correspondent = True
-    elif degenerate:
-        correspondent = False
-    else:
-        correspondent = list(eig.values) == [Fraction(e) for e in prof.exponents]
+    eig = _eigenvalue_valuations(vals, p)
+    degenerate = len(eig.values) < r
+    # Fraction == int is exact; both sides are () at rank 0, and their
+    # lengths differ when degenerate
+    correspondent = eig.values == prof.exponents
 
     if characterized and not correspondent:
         raise AssertionError(
@@ -94,7 +87,7 @@ def analyze(A: MatrixLike, p: int) -> ClassificationReport:
         n=A.n,
         rank=r,
         f_vals=f_vals,
-        delta_vals=tuple(delta_vals),
+        delta_vals=delta_vals,
         profile=prof.exponents,
         eig_vals=eig,
         p_characterized=characterized,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .charpoly import CharPoly, char_poly
-from .exact import MatrixLike, _require_prime, _val
+from .exact import INFINITY, MatrixLike, Valuation, _require_prime, _val
 
 Point = tuple[int, int]
 
@@ -59,7 +59,7 @@ class NewtonPolygon:
         return tuple(out)
 
 
-def _lower_hull(points: tuple[Point, ...]) -> list[Point]:
+def _lower_hull(points: list[Point] | tuple[Point, ...]) -> list[Point]:
     # monotone chain, x already strictly increasing; collinear middle
     # points are dropped so vertices are minimal
     hull: list[Point] = []
@@ -117,21 +117,34 @@ class EigenvalueValuations:
         }
 
 
+def _eigenvalue_valuations(vals: list[Valuation], p: int) -> EigenvalueValuations:
+    """Eigenvalue valuations from the valuations of f_1, ..., f_n.
+
+    vals holds INFINITY for a zero coefficient.  The hull is the one
+    newton_polygon builds, over (0, 0) and the points of the nonzero
+    coefficients, so it ends at the last nonzero coefficient r'; the
+    other n - r' eigenvalues are exactly zero.
+    """
+    points = [(0, 0)]
+    points += [(i, v) for i, v in enumerate(vals, 1) if v is not INFINITY]
+    hull = _lower_hull(points)
+    values: list[Fraction] = []
+    for (x0, y0), (x1, y1) in zip(hull, hull[1:]):
+        dx, dy = x1 - x0, y1 - y0
+        values += [Fraction(dy // dx) if dy % dx == 0 else Fraction(dy, dx)] * dx
+    return EigenvalueValuations(p=p, values=tuple(values), zero_count=len(vals) - hull[-1][0])
+
+
 def valuations_from_charpoly(f: CharPoly, p: int) -> EigenvalueValuations:
     """Eigenvalue valuations read off the Newton polygon of a charpoly.
 
-    The polynomial is truncated at its last nonzero coefficient r'; the
-    remaining n - r' eigenvalues are exactly zero and reported via
-    zero_count.  The all-zero-coefficient case (nilpotent matrix) has no
-    polygon and no nonzero eigenvalues.
+    The polygon ends at the last nonzero coefficient r'; the remaining
+    n - r' eigenvalues are exactly zero and reported via zero_count.  The
+    all-zero-coefficient case (nilpotent matrix) has no polygon and no
+    nonzero eigenvalues.
     """
     _require_prime(p)
-    r_prime = f.last_nonzero_index
-    if r_prime == 0:
-        return EigenvalueValuations(p=p, values=(), zero_count=f.n)
-    trunc = CharPoly(n=r_prime, coeffs=f.coeffs[:r_prime])
-    np_ = newton_polygon(trunc, p)
-    return EigenvalueValuations(p=p, values=np_.slopes, zero_count=f.n - r_prime)
+    return _eigenvalue_valuations([_val(c, p) for c in f.coeffs], p)
 
 
 def eigenvalue_valuations(A: MatrixLike, p: int) -> EigenvalueValuations:

@@ -23,7 +23,6 @@ from .exact import (
     _require_prime,
     det,
     rem_pm,
-    val_p,
 )
 
 # meets_failure_bound allows the observed rate this many binomial sigmas
@@ -226,18 +225,16 @@ def verify_rem_stability(A: MatrixLike, p: int, m: int) -> StabilityReport:
     a caller error.
     """
     A = _as_matrix(A)
-    _require_prime(p)
-    d = det(A)
-    if d == 0:
+    rep_a = analyze(A, p)  # checks that p is prime
+    if rep_a.rank < A.n:
         raise ValueError("rem-stability is only defined for nonsingular matrices")
-    # d is nonzero, so its valuation is an int
-    vd = val_p(d, p)
+    # A is nonsingular, so val_p(det A) is the sum of its Smith exponents
+    vd = sum(rep_a.profile)
     if m <= vd:
         raise ValueError(f"m must exceed val_p(det A) = {vd}, got m = {m}")
 
     # both matrices are nonsingular (val_p of the reduced determinant is
     # still vd < m), so each report's rank is n and its f_vals cover f_1..f_n
-    rep_a = analyze(A, p)
     rep_r = analyze(rem_pm(A, p, m), p)
     return StabilityReport(
         p=p,

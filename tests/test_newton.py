@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from padicsmith.charpoly import CharPoly, char_poly
+from padicsmith.classify import analyze
 from padicsmith.exact import IntMatrix, val_p
 from padicsmith.newton import (
     EmptyPolygonError,
@@ -54,6 +55,11 @@ def test_zero_count_tracks_truncation():
     assert nil.values == ()
     assert nil.zero_count == 2
 
+    # x^2 - 4: a zero f_1 before a nonzero f_2 truncates nothing
+    inner = eigenvalue_valuations(IntMatrix.from_rows([[0, 1], [4, 0]]), 2)
+    assert inner.values == (1, 1)
+    assert inner.zero_count == 0
+
 
 def test_valuations_json_shape(skewed):
     obj = eigenvalue_valuations(skewed, 2).to_json_obj()
@@ -81,14 +87,19 @@ coeff = st.integers(min_value=-10**6, max_value=10**6)
 
 
 @settings(max_examples=200)
-@given(st.lists(coeff, min_size=1, max_size=7), st.sampled_from([2, 3, 5, 7]))
+# zero drawn often, so interior and trailing zero coefficients both occur
+@given(st.lists(st.just(0) | coeff, min_size=1, max_size=7), st.sampled_from([2, 3, 5, 7]))
 def test_hull_properties_on_random_polynomials(coeffs, p):
     f = CharPoly(len(coeffs), tuple(coeffs))
     vals = valuations_from_charpoly(f, p)
     assert len(vals.values) + vals.zero_count == f.n
     assert list(vals.values) == sorted(vals.values)
-    if coeffs[-1] != 0:
-        hull = newton_polygon(f, p)
+    # newton_polygon needs a nonzero constant term, so it gets f truncated
+    # at its last nonzero coefficient r'
+    r_prime = f.last_nonzero_index
+    assert vals.zero_count == f.n - r_prime
+    if r_prime:
+        hull = newton_polygon(CharPoly(r_prime, f.coeffs[:r_prime]), p)
         assert_lower_hull(hull)
         assert tuple(hull.slopes) == vals.values
 
@@ -104,15 +115,24 @@ def test_total_rise_equals_constant_term_valuation(coeffs, p):
 
 @settings(max_examples=100)
 @given(
-    st.integers(min_value=1, max_value=4).flatmap(
+    st.integers(min_value=1, max_value=6).flatmap(
         lambda n: st.lists(
             st.lists(st.integers(min_value=-30, max_value=30), min_size=n, max_size=n),
             min_size=n,
             max_size=n,
         )
     ),
+    st.booleans(),
     st.sampled_from([2, 3, 5]),
 )
-def test_matrix_route_consistent(rows, p):
+def test_matrix_route_consistent(rows, singular, p):
+    if singular:
+        rows[-1] = rows[0]
     A = IntMatrix.from_rows(rows)
-    assert eigenvalue_valuations(A, p) == valuations_from_charpoly(char_poly(A), p)
+    eig = eigenvalue_valuations(A, p)
+    assert eig == valuations_from_charpoly(char_poly(A), p)
+    # analyze reads f_vals and the hull off one list of valuations; hold
+    # each to its public route
+    rep = analyze(A, p)
+    assert rep.eig_vals == eig
+    assert rep.f_vals == tuple(val_p(c, p) for c in char_poly(A).coeffs[: rep.rank])
