@@ -9,23 +9,15 @@ minus sampling noise; the exact 3-sigma comparison is printed per prime.
 """
 
 import argparse
-import random
 import sys
 from fractions import Fraction
 
-from padicsmith.exact import IntMatrix, det
 from padicsmith.transform import (
+    _random_unit_matrix,
     count_single_attempt_successes,
     meets_failure_bound,
     single_attempt_failure_bound,
 )
-
-
-def draw_unit_matrix(rng, n, p):
-    while True:
-        A = IntMatrix.from_rows([[rng.randrange(p) for _ in range(n)] for _ in range(n)])
-        if det(A) % p:
-            return A
 
 
 def main(argv=None):
@@ -43,8 +35,7 @@ def main(argv=None):
         if floor <= 0:
             print(f"p={p:>4}: bound {floor} is vacuous at n={args.n}, skipped")
             continue
-        rng = random.Random(args.seed)
-        A = draw_unit_matrix(rng, args.n, p)
+        A = _random_unit_matrix(args.n, p, args.seed)
         successes = count_single_attempt_successes(A, p, p, args.trials, args.seed)
         rate = Fraction(successes, args.trials)
         ok = meets_failure_bound(successes, args.trials, args.n, p)

@@ -37,6 +37,7 @@ from .exact import (
 )
 from .transform import (
     AttemptsExhaustedError,
+    _random_unit_matrix,
     count_single_attempt_successes,
     meets_failure_bound,
     sample_correspondent,
@@ -177,12 +178,10 @@ def _check_gl_ratio(args: argparse.Namespace) -> list[tuple[bool, str]]:
             for n in range(1, (args.n or 4) + 1):
                 rep = gl_count(p, m, n)
                 tag = "exhaustive+closed-form" if rep.exhaustive_checked else "closed-form"
-                checks.append(
-                    (
-                        rep.ratio < 4,
-                        f"gl-ratio p={p} m={m} n={n}: ratio={rep.ratio} ({tag})",
-                    )
-                )
+                line = f"gl-ratio p={p} m={m} n={n}: ratio={rep.ratio} ({tag})"
+                if not rep.ok:
+                    line += f", exhaustive count {rep.exhaustive_count} != closed form {rep.order}"
+                checks.append((rep.ok and rep.ratio < 4, line))
     return checks
 
 
@@ -216,18 +215,14 @@ def _check_lemma33(args: argparse.Namespace) -> list[tuple[bool, str]]:
     bound = args.bound or p
     trials = args.trials or 1000
     seed = args.seed or 0
-    rng = random.Random(seed)
-    _require_prime(p)  # det(A) % p has no nonzero value to stop on at p = 1
+    _require_prime(p)  # before the floor, which p = 1 would report as vacuous
     floor = 1 - single_attempt_failure_bound(n, p)
     if floor <= 0:
         raise ValueError(
             f"lemma33 floor 1 - (n^2+3n)/p = {floor} is vacuous at p={p}, n={n}: "
             "no success rate can fall below it"
         )
-    while True:
-        A = IntMatrix.from_rows([[rng.randrange(p) for _ in range(n)] for _ in range(n)])
-        if det(A) % p:
-            break
+    A = _random_unit_matrix(n, p, seed)
     successes = count_single_attempt_successes(A, p, bound, trials, seed)
     ok = meets_failure_bound(successes, trials, n, p)
     return [

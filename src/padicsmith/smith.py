@@ -17,22 +17,11 @@ Two routes, one per question:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, combinations
+from itertools import accumulate
 from math import gcd
 from operator import mul
 
-from .exact import (
-    IntMatrix,
-    MatrixLike,
-    UnsupportedSizeError,
-    _as_matrix,
-    _det_rows,
-    _require_prime,
-)
-
-# Minor-GCD determinantal divisors are combinatorial (sum over C(n,i)^2
-# submatrices); past this size they stop being a sane cross-check.
-MINOR_ORACLE_MAX_N = 5
+from .exact import IntMatrix, MatrixLike, _as_matrix, _require_prime
 
 
 @dataclass(frozen=True)
@@ -143,44 +132,13 @@ def smith_form(A: MatrixLike, want_transforms: bool = False) -> SmithData:
     return SmithData(n=n, diag=diag, P=P, Q=IntMatrix.from_rows(a[n:]))
 
 
-def _minor_gcd_dets(A: IntMatrix) -> tuple[int, ...]:
-    """Determinantal divisors straight from the definition: gcd of all i x i minors."""
-    n = A.n
-    if n > MINOR_ORACLE_MAX_N:
-        raise UnsupportedSizeError(f"minor-GCD route is limited to n <= {MINOR_ORACLE_MAX_N}, got {n}")
-    out = []
-    idx = range(n)
-    for size in range(1, n + 1):
-        g = 0
-        for rows_sel in combinations(idx, size):
-            for cols_sel in combinations(idx, size):
-                sub = [[A.rows[i][j] for j in cols_sel] for i in rows_sel]
-                g = gcd(g, _det_rows(sub))
-                # gcd 1 cannot shrink further; skip the remaining minors
-            if g == 1:
-                break
-        if g == 0:
-            break
-        out.append(g)
-    return tuple(out)
-
-
 def determinantal_divisors(A: MatrixLike) -> tuple[int, ...]:
     """Positive gcds of all i x i minors, i = 1..rank.
 
-    Computed from the invariant factor products; for n <= 5 the
-    minor-GCD definition is evaluated independently and the two routes
-    are required to agree.
+    Read off the Smith form: the i-th determinantal divisor is the product
+    s_1 ... s_i of the first i invariant factors.
     """
-    A = _as_matrix(A)
-    via_smith = smith_form(A).dets
-    if A.n <= MINOR_ORACLE_MAX_N:
-        via_minors = _minor_gcd_dets(A)
-        if via_minors != via_smith:
-            raise AssertionError(
-                f"determinantal divisor routes disagree: minors {via_minors} vs products {via_smith}"
-            )
-    return via_smith
+    return smith_form(A).dets
 
 
 def local_profile(A: MatrixLike, p: int) -> LocalSmithProfile:

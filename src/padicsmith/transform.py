@@ -67,22 +67,38 @@ def _random_matrix(rng: random.Random, n: int, bound: int) -> IntMatrix:
     )
 
 
+def _random_unit_matrix(n: int, p: int, seed: int) -> IntMatrix:
+    """First matrix over [0, p), drawn row-major from Random(seed), with det prime to p.
+
+    The caller checks that p is prime: at p = 1 the draw would never stop.
+    """
+    rng = random.Random(seed)
+    while True:
+        A = _random_matrix(rng, n, p)
+        if det(A) % p:
+            return A
+
+
+def _require_bound(p: int, bound: int) -> None:
+    _require_prime(p)
+    if bound < p or bound % p != 0:
+        raise ValueError(f"bound must be a positive multiple of p={p}, got {bound}")
+
+
 def _attempt(
     A: IntMatrix, U: IntMatrix, V: IntMatrix, p: int
-) -> tuple[bool, ClassificationReport | None, int, int, IntMatrix | None]:
-    """One sandwich attempt: (success, report, det U, det V, U @ A @ V).
+) -> tuple[IntMatrix, ClassificationReport] | None:
+    """One sandwich attempt: U @ A @ V and its report, or None.
 
-    Success needs U, V nonsingular mod p and a p-characterized product;
-    that is exactly the event the probabilistic bound counts.  When U or
-    V is singular mod p, the product is neither formed nor classified and
-    report and product are None.
+    None when U or V is singular mod p: the product is then neither
+    formed nor classified.  The attempt succeeds when the report says
+    p-characterized; that is exactly the event the probabilistic bound
+    counts.
     """
-    det_u, det_v = det(U), det(V)
-    if det_u % p == 0 or det_v % p == 0:
-        return False, None, det_u, det_v, None
+    if det(U) % p == 0 or det(V) % p == 0:
+        return None
     result = U @ A @ V
-    report = analyze(result, p)
-    return report.p_characterized, report, det_u, det_v, result
+    return result, analyze(result, p)
 
 
 def sample_correspondent(
@@ -105,11 +121,9 @@ def sample_correspondent(
     AttemptsExhaustedError after max_attempts failures.
     """
     A = _as_matrix(A)
-    _require_prime(p)
     if bound is None:
         bound = p
-    if bound < p or bound % p != 0:
-        raise ValueError(f"bound must be a positive multiple of p={p}, got {bound}")
+    _require_bound(p, bound)
     rng = random.Random(seed)
     last_report: ClassificationReport | None = None
     for attempt in range(1, max_attempts + 1):
@@ -118,19 +132,11 @@ def sample_correspondent(
         else:
             U = _random_matrix(rng, A.n, bound)
             V = _random_matrix(rng, A.n, bound)
-        ok, report, det_u, det_v, result = _attempt(A, U, V, p)
-        if report is not None:
-            last_report = report
-        if ok:
-            # the success certificate: explicit raises, so python -O keeps them
-            if report is None or not report.p_correspondent:
-                raise AssertionError(
-                    f"attempt {attempt} succeeded without a p-correspondent result (p={p})"
-                )
-            if det_u % p == 0 or det_v % p == 0:
-                raise AssertionError(
-                    f"attempt {attempt} succeeded with a transform singular mod p={p}"
-                )
+        hit = _attempt(A, U, V, p)
+        if hit is None:
+            continue
+        result, last_report = hit
+        if last_report.p_characterized:
             return TransformSample(
                 p=p,
                 bound=bound,
@@ -138,7 +144,7 @@ def sample_correspondent(
                 U=U,
                 V=V,
                 result=result,
-                report=report,
+                report=last_report,
             )
     raise AttemptsExhaustedError(
         f"no p-characterized sandwich found in {max_attempts} attempts (p={p}, bound={bound})",
@@ -150,15 +156,14 @@ def count_single_attempt_successes(
     A: IntMatrix, p: int, bound: int, trials: int, seed: int
 ) -> int:
     """Monte-Carlo driver: independent single sandwich attempts, seeded."""
-    _require_prime(p)
-    if bound < p or bound % p != 0:
-        raise ValueError(f"bound must be a positive multiple of p={p}, got {bound}")
+    _require_bound(p, bound)
     rng = random.Random(seed)
     successes = 0
     for _ in range(trials):
         U = _random_matrix(rng, A.n, bound)
         V = _random_matrix(rng, A.n, bound)
-        if _attempt(A, U, V, p)[0]:
+        hit = _attempt(A, U, V, p)
+        if hit is not None and hit[1].p_characterized:
             successes += 1
     return successes
 

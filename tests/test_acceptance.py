@@ -17,6 +17,7 @@ from padicsmith.exact import IntMatrix, det, val_p
 from padicsmith.newton import eigenvalue_valuations
 from padicsmith.smith import determinantal_divisors, local_profile, smith_form
 from padicsmith.transform import (
+    _random_unit_matrix,
     count_single_attempt_successes,
     meets_failure_bound,
     single_attempt_failure_bound,
@@ -32,6 +33,7 @@ from conftest import (
     SKEWED,
     TRIDENT,
 )
+from oracles import minor_gcd_dets
 
 TABLE = {
     (2, 1, 2): ("56.25", "81.25", "33.33"),
@@ -138,8 +140,7 @@ def test_criterion_3_implication_exhaustive():
             rep = analyze(IntMatrix.from_rows(rows), p)
             assert not (rep.p_characterized and not rep.p_correspondent)
             checked += 1
-        # the enumeration raises on any classified representative that is
-        # characterized but not correspondent
+        # the engine's own invariants (weight sum, unit cofactor) raise here
         enumerate_density(p, m, n)
     elapsed = time.perf_counter() - start
     assert elapsed < 60
@@ -157,15 +158,7 @@ def test_criterion_4_oracle_equivalences():
             [[rng.randint(-100, 100) for _ in range(n)] for _ in range(n)]
         )
         assert char_poly(A) == char_poly_minor_oracle(A)
-        divs = determinantal_divisors(A)  # internally cross-checked against minor GCDs
-        diag = smith_form(A).diag
-        acc = 1
-        for i, s in enumerate(diag):
-            if s == 0:
-                assert len(divs) == i
-                break
-            acc *= s
-            assert divs[i] == acc
+        assert determinantal_divisors(A) == minor_gcd_dets(A)
     print("ACCEPTANCE 4 PASS: 1000 random matrices, both oracle routes agree")
 
 
@@ -202,7 +195,7 @@ def test_criterion_7_gl_ratio():
         for m in (1, 2, 3):
             for n in (1, 2, 3, 4):
                 rep = gl_count(p, m, n)
-                assert rep.ratio < 4, (p, m, n, rep.ratio)
+                assert rep.ok and rep.ratio < 4, (p, m, n, rep)
                 exhaustive += rep.exhaustive_checked
     assert exhaustive == 29  # every cell with (p^m)^(n^2) <= GL_EXHAUSTIVE_BUDGET
     print(
@@ -214,11 +207,7 @@ def test_criterion_7_gl_ratio():
 def test_criterion_8_single_attempt_success_rate():
     start = time.perf_counter()
     p, n, bound, trials, seed = 101, 3, 101, 1200, 5
-    rng = random.Random(seed)
-    while True:
-        A = IntMatrix.from_rows([[rng.randrange(p) for _ in range(n)] for _ in range(n)])
-        if det(A) % p:
-            break
+    A = _random_unit_matrix(n, p, seed)
     successes = count_single_attempt_successes(A, p, bound, trials, seed)
     assert meets_failure_bound(successes, trials, n, p)
     elapsed = time.perf_counter() - start

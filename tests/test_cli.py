@@ -239,7 +239,7 @@ def test_verify_suites_pass(argv, capsys):
     assert "FAIL" not in out
 
 
-@pytest.mark.parametrize("suite", ["theorem1", "gl-ratio"])
+@pytest.mark.parametrize("suite", ["theorem1", "gl-ratio", "orbit"])
 def test_verify_suites_pass_with_asserts_stripped(suite):
     # python -O drops assert statements; the checks guarding results must survive
     env = dict(os.environ)
@@ -257,18 +257,68 @@ def test_verify_suites_pass_with_asserts_stripped(suite):
     assert "FAIL" not in proc.stdout
 
 
+def _assertion_error_raises(node, func=None):
+    """Name of the enclosing function of each `raise AssertionError` under node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _assertion_error_raises(child, child.name)
+            continue
+        if isinstance(child, ast.Raise) and child.exc is not None:
+            exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+            if isinstance(exc, ast.Name) and exc.id == "AssertionError":
+                yield func
+        yield from _assertion_error_raises(child, func)
+
+
 def test_package_has_no_assert_statements():
     # python -O drops every assert, so a check that guards a result must raise
     package = Path(padicsmith.__file__).resolve().parent
     sources = sorted(package.glob("*.py"))
     assert sources
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in sources}
     found = [
-        f"{path.name}:{node.lineno}"
-        for path in sources
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        f"{name}:{node.lineno}"
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+    # a check the CLI can report returns a verdict instead; the raises left
+    # are the theorem check and the density engine's own invariants
+    raises = sorted(
+        (name, func) for name, tree in trees.items() for func in _assertion_error_raises(tree)
+    )
+    assert raises == [
+        ("classify.py", "analyze"),
+        ("density.py", "_corank_one_keys"),
+        ("density.py", "enumerate_density"),
+    ]
+
+
+def _plant_gl_order_off_by_one(monkeypatch):
+    import padicsmith.density as density
+
+    real = density.gl_order
+    monkeypatch.setattr(density, "gl_order", lambda p, m, n: real(p, m, n) + 1)
+
+
+def test_verify_gl_ratio_reports_a_count_mismatch(monkeypatch, capsys):
+    _plant_gl_order_off_by_one(monkeypatch)
+    assert main(["verify", "--suite", "gl-ratio", "--p", "2", "--m", "1", "--n", "2"]) == 1
+    assert capsys.readouterr().out == (
+        "FAIL gl-ratio p=2 m=1 n=1: ratio=1 (exhaustive+closed-form), exhaustive count 1 != closed form 2\n"
+        "FAIL gl-ratio p=2 m=1 n=2: ratio=16/7 (exhaustive+closed-form), exhaustive count 6 != closed form 7\n"
+    )
+
+
+def test_verify_orbit_reports_a_class_size_not_dividing_gl_squared(monkeypatch, capsys):
+    _plant_gl_order_off_by_one(monkeypatch)
+    assert main(["verify", "--suite", "orbit"]) == 1
+    assert capsys.readouterr().out == (
+        "FAIL orbit p=2 m=1 e=[0, 0]: class size 6, 49/6 pairs per member\n"
+        "FAIL orbit p=3 m=1 e=[0, 0]: class size 48, 2401/48 pairs per member\n"
+        "FAIL orbit p=2 m=2 e=[0, 1]: class size 72, 9409/72 pairs per member\n"
+    )
 
 
 @pytest.mark.parametrize("suite", ["theorem1", "gl-ratio", "rem-stability", "lemma33", "orbit"])

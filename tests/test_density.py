@@ -371,10 +371,12 @@ def test_gl_count_cross_checks_exhaustively():
         assert units == gl_order(p, m, n) == gl_count(p, m, n).order
     rep = gl_count(2, 2, 2)
     assert rep.order == 96
-    assert rep.exhaustive_checked
+    assert rep.exhaustive_count == 96
+    assert rep.exhaustive_checked and rep.ok
     assert rep.ratio == Fraction(256, 96)
     big = gl_count(11, 3, 4)
-    assert not big.exhaustive_checked
+    assert big.exhaustive_count is None
+    assert not big.exhaustive_checked and big.ok
     assert big.ratio < 4
 
 
