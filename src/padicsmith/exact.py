@@ -12,6 +12,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 
 class MatrixParseError(ValueError):
@@ -201,7 +202,7 @@ class IntMatrix:
         return IntMatrix(
             n,
             tuple(
-                tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
+                tuple(sum(map(mul, row, col)) for col in cols)
                 for row in self.rows
             ),
         )

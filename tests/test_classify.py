@@ -3,8 +3,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from padicsmith import classify
 from padicsmith.classify import analyze, is_p_characterized, is_p_correspondent
-from padicsmith.exact import INFINITY, IntMatrix
+from padicsmith.exact import INFINITY, IntMatrix, val_p
+from padicsmith.smith import smith_form
 
 
 def square(n, lo, hi):
@@ -91,7 +93,7 @@ def test_report_json_round_trips(trident):
     assert obj["eig_vals"]["values"] == ["0/1", "1/1", "2/1"]
 
 
-@pytest.mark.parametrize("p", [0, 1, 4])
+@pytest.mark.parametrize("p", [0, 1, 4, -2])
 def test_analyze_rejects_non_prime(hepta, p):
     with pytest.raises(ValueError, match="p must be prime"):
         analyze(hepta, p)
@@ -123,3 +125,56 @@ def test_scaling_by_p_shifts_profile(A, p):
     # predicates survive
     assert scaled.p_characterized == rep.p_characterized
     assert scaled.p_correspondent == rep.p_correspondent
+
+
+def assert_matches_integer_smith(rep, A, p):
+    """rank, profile and delta_vals equal the integer Smith form's valuations."""
+    s = smith_form(A)
+    assert rep.rank == s.rank
+    assert rep.profile == tuple(val_p(d, p) for d in s.invariant_factors)
+    assert rep.delta_vals == tuple(val_p(d, p) for d in s.dets)
+
+
+# (rows, p, profile, local_profile calls): one case per way analyze
+# reaches the Smith profile
+PROFILE_ROUTES = [
+    ([[2, 1], [1, 1]], 2, (0, 0), 0),  # unit det
+    ([[1, 0, 0], [0, 1, 0], [0, 0, 8]], 2, (0, 0, 3), 0),  # unit f_2, v(det) = 3
+    ([[1, 1], [-9, 0]], 3, (0, 2), 0),  # unit f_1, v(det) = 2
+    ([[1, 0], [0, 0]], 5, (0,), 0),  # unit f_1, det = 0
+    ([[1, 2, 3], [4, 5, 6], [7, 8, 9]], 5, (0, 0), 0),  # unit f_2, det = 0
+    ([[0]], 2, (), 0),  # n = 1, f_1 = 0
+    ([[5]], 2, (0,), 0),  # n = 1, unit
+    ([[-27]], 3, (3,), 0),  # n = 1, p^3
+    ([[2, 0], [0, 2]], 2, (1, 1), 1),  # p * I: no unit f_{n-1} or f_n
+    ([[0, 1], [0, 0]], 2, (0,), 1),  # nilpotent: f_1 = f_2 = 0
+]
+
+
+@pytest.mark.parametrize("rows, p, profile, calls", PROFILE_ROUTES)
+def test_profile_routes_match_integer_smith_form(monkeypatch, rows, p, profile, calls):
+    counted = []
+    real = classify.local_profile
+    monkeypatch.setattr(classify, "local_profile", lambda A, p: counted.append(p) or real(A, p))
+    A = IntMatrix.from_rows(rows)
+    rep = analyze(A, p)
+    assert rep.profile == profile
+    assert_matches_integer_smith(rep, A, p)
+    assert len(counted) == calls
+
+
+@settings(max_examples=200)
+@given(
+    st.integers(min_value=1, max_value=5).flatmap(
+        lambda n: st.lists(
+            st.lists(st.tuples(st.integers(-9, 9), st.integers(0, 2)), min_size=n, max_size=n),
+            min_size=n,
+            max_size=n,
+        )
+    ),
+    st.sampled_from([2, 3, 5, 7]),
+)
+def test_profile_matches_integer_smith_form(entries, p):
+    """Entries c * p^k, so that both the pinned and the eliminated routes run."""
+    A = IntMatrix.from_rows([[c * p**k for c, k in row] for row in entries])
+    assert_matches_integer_smith(analyze(A, p), A, p)
