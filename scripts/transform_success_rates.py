@@ -10,14 +10,8 @@ minus sampling noise; the exact 3-sigma comparison is printed per prime.
 
 import argparse
 import sys
-from fractions import Fraction
 
-from padicsmith.transform import (
-    _random_unit_matrix,
-    count_single_attempt_successes,
-    meets_failure_bound,
-    single_attempt_failure_bound,
-)
+from padicsmith.transform import single_attempt_failure_bound, single_attempt_success_rate
 
 
 def main(argv=None):
@@ -35,14 +29,11 @@ def main(argv=None):
         if floor <= 0:
             print(f"p={p:>4}: bound {floor} is vacuous at n={args.n}, skipped")
             continue
-        A = _random_unit_matrix(args.n, p, args.seed)
-        successes = count_single_attempt_successes(A, p, p, args.trials, args.seed)
-        rate = Fraction(successes, args.trials)
-        ok = meets_failure_bound(successes, args.trials, args.n, p)
-        all_ok &= ok
+        rep = single_attempt_success_rate(args.n, p, p, args.trials, args.seed)
+        all_ok &= rep.ok
         print(
-            f"p={p:>4}: {successes}/{args.trials} = {float(rate):.4f} "
-            f"(floor {float(floor):.4f} less 3 sigma) {'ok' if ok else 'BELOW BOUND'}"
+            f"p={p:>4}: {rep.successes}/{args.trials} = {rep.successes / args.trials:.4f} "
+            f"(floor {float(floor):.4f} less 3 sigma) {'ok' if rep.ok else 'BELOW BOUND'}"
         )
     return 0 if all_ok else 1
 

@@ -7,7 +7,7 @@ exhaustive density enumeration over residue matrices.
 """
 
 from .charpoly import CharPoly, char_poly
-from .classify import ClassificationReport, analyze, is_p_characterized, is_p_correspondent
+from .classify import ClassificationReport, analyze
 from .density import Convention, DensityRow, enumerate_density
 from .exact import (
     INFINITY,
@@ -20,7 +20,6 @@ from .exact import (
     rank,
     rem_pm,
     val_p,
-    val_p_rat,
 )
 from .newton import NewtonPolygon, eigenvalue_valuations, newton_polygon
 from .smith import LocalSmithProfile, SmithData, determinantal_divisors, local_profile, smith_form
@@ -46,8 +45,6 @@ __all__ = [
     "determinantal_divisors",
     "eigenvalue_valuations",
     "enumerate_density",
-    "is_p_characterized",
-    "is_p_correspondent",
     "local_profile",
     "newton_polygon",
     "parse_matrix",
@@ -56,7 +53,6 @@ __all__ = [
     "sample_correspondent",
     "smith_form",
     "val_p",
-    "val_p_rat",
     "verify_rem_stability",
 ]
 

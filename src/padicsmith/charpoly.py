@@ -33,14 +33,6 @@ class CharPoly:
             raise IndexError(f"coefficient index {i} out of range 1..{self.n}")
         return self.coeffs[i - 1]
 
-    @property
-    def last_nonzero_index(self) -> int:
-        """Largest i with f_i != 0, or 0 when every coefficient vanishes."""
-        for i in range(self.n, 0, -1):
-            if self.coeffs[i - 1]:
-                return i
-        return 0
-
 
 def _berkowitz(rows: list[list[int]] | tuple[tuple[int, ...], ...]) -> list[int]:
     """Monic coefficient vector [1, f_1, ..., f_n] of det(xI - A), no divisions.

@@ -114,13 +114,3 @@ def analyze(A: MatrixLike, p: int) -> ClassificationReport:
         p_correspondent=correspondent,
         degenerate=degenerate,
     )
-
-
-def is_p_characterized(A: MatrixLike, p: int) -> bool:
-    """True when charpoly coefficient valuations equal determinantal divisor valuations."""
-    return analyze(A, p).p_characterized
-
-
-def is_p_correspondent(A: MatrixLike, p: int) -> bool:
-    """True when nonzero-eigenvalue valuations match the invariant factor profile."""
-    return analyze(A, p).p_correspondent

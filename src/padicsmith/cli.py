@@ -20,6 +20,7 @@ from .density import (
     CSV_HEADER,
     DEFAULT_BUDGET,
     Convention,
+    _box_size,
     enumerate_density,
     gl_count,
     orbit_stabilizer_check,
@@ -37,11 +38,8 @@ from .exact import (
 )
 from .transform import (
     AttemptsExhaustedError,
-    _random_unit_matrix,
-    count_single_attempt_successes,
-    meets_failure_bound,
     sample_correspondent,
-    single_attempt_failure_bound,
+    single_attempt_success_rate,
     verify_rem_stability,
 )
 
@@ -151,11 +149,7 @@ def cmd_transform(args: argparse.Namespace) -> int:
 def _check_theorem1(args: argparse.Namespace) -> list[tuple[bool, str]]:
     p, m, n = args.p or 2, args.m or 1, args.n or 2
     _require_prime(p)
-    total = (p**m) ** (n * n)
-    if total > args.budget:
-        raise BudgetExceededError(
-            f"enumeration space (p^m)^(n^2) = {total} exceeds budget {args.budget}"
-        )
+    total = _box_size(p, m, n, args.budget)
     for rows in product(product(range(p**m), repeat=n), repeat=n):
         try:
             analyze(rows, p)
@@ -211,25 +205,14 @@ def _check_rem_stability(args: argparse.Namespace) -> list[tuple[bool, str]]:
 
 def _check_lemma33(args: argparse.Namespace) -> list[tuple[bool, str]]:
     p = args.p or 101
-    n = args.n or 3
-    bound = args.bound or p
-    trials = args.trials or 1000
-    seed = args.seed or 0
-    _require_prime(p)  # before the floor, which p = 1 would report as vacuous
-    floor = 1 - single_attempt_failure_bound(n, p)
-    if floor <= 0:
-        raise ValueError(
-            f"lemma33 floor 1 - (n^2+3n)/p = {floor} is vacuous at p={p}, n={n}: "
-            "no success rate can fall below it"
-        )
-    A = _random_unit_matrix(n, p, seed)
-    successes = count_single_attempt_successes(A, p, bound, trials, seed)
-    ok = meets_failure_bound(successes, trials, n, p)
+    rep = single_attempt_success_rate(
+        args.n or 3, p, args.bound or p, args.trials or 1000, args.seed or 0
+    )
     return [
         (
-            ok,
-            f"lemma33 p={p} n={n} bound={bound}: {successes}/{trials} successes, "
-            f"rate {Fraction(successes, trials)} vs floor {floor} - 3sigma",
+            rep.ok,
+            f"lemma33 p={p} n={rep.n} bound={rep.bound}: {rep.successes}/{rep.trials} "
+            f"successes, rate {Fraction(rep.successes, rep.trials)} vs floor {rep.floor} - 3sigma",
         )
     ]
 

@@ -93,6 +93,11 @@ off A0's own signature, and split the classes into strata:
 
 The det filter is read off the key, val_p(det) = e_1 + ... + e_n, so it
 need not be tallied separately.
+
+The group-order checks take their class sizes from the same partition
+map: gl_count the unit class (1, ..., 1), and orbit_stabilizer_check the
+class of diag(p^e), which it compares with the products L diag(p^e) R
+over pairs of units.
 """
 
 from __future__ import annotations
@@ -106,8 +111,7 @@ from functools import lru_cache
 from itertools import chain, combinations, combinations_with_replacement, islice, product
 from math import comb, factorial, gcd, prod
 
-from .exact import BudgetExceededError, IntMatrix, UnsupportedSizeError, _det_rows, _require_prime, val_p
-from .smith import local_profile
+from .exact import BudgetExceededError, UnsupportedSizeError, _det_rows, _require_prime, val_p
 
 DEFAULT_BUDGET = 2**30
 
@@ -685,6 +689,16 @@ def _tally_range(args: tuple[int, int, int, int, int]) -> Counter:
     return tally
 
 
+def _box_size(p: int, m: int, n: int, budget: int) -> int:
+    """The number (p^m)^(n^2) of n x n matrices over [0, p^m), if it fits budget."""
+    total = (p**m) ** (n * n)
+    if total > budget:
+        raise BudgetExceededError(
+            f"enumeration space (p^m)^(n^2) = {total} exceeds budget {budget}"
+        )
+    return total
+
+
 def enumerate_density(
     p: int,
     m: int,
@@ -708,11 +722,7 @@ def enumerate_density(
     if m < 1 or n < 1:
         raise ValueError(f"need m >= 1 and n >= 1, got m={m}, n={n}")
     convention = Convention(convention)
-    total = (p**m) ** (n * n)
-    if total > budget:
-        raise BudgetExceededError(
-            f"enumeration space (p^m)^(n^2) = {total} exceeds budget {budget}"
-        )
+    total = _box_size(p, m, n, budget)
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
 
@@ -832,9 +842,14 @@ def orbit_stabilizer_check(
 ) -> OrbitCheckReport:
     """Exhaustively verify the sandwich-counting identity for one profile class.
 
-    Buckets every pair (L, R) over [0, p^m) by (L @ S @ R) rem p^m with
-    S = diag(p^e) and checks each member of the profile class is hit
-    exactly |GL|^2 / class_size times.
+    With S = diag(p^e) and sum(e) < m, a product L @ S @ R lies in S's
+    class only if det L and det R are prime to p, since det(L S R) =
+    det L * det S * det R mod p^m must have valuation sum(e); and every
+    such product does, since the Smith form mod p^m is that of any lift
+    (rem-stability).  So (L @ S @ R) rem p^m is bucketed over the pairs of
+    matrices over [0, p^m) with det prime to p, the class size is read
+    off enumerate_density's partition map, and each member of the class
+    must be hit exactly |GL|^2 / class_size times.
     """
     _require_prime(p)
     exponents = tuple(int(e) for e in exponents)
@@ -854,35 +869,31 @@ def orbit_stabilizer_check(
             f"pair space (p^m)^(2 n^2) = {space * space} exceeds budget {budget}"
         )
 
-    flats = list(product(range(q), repeat=n * n))
-
-    members = set()
-    for flat in flats:
-        M = IntMatrix.from_rows([flat[i * n : (i + 1) * n] for i in range(n)])
-        if local_profile(M, p).exponents == exponents:
-            members.add(flat)
-    # never empty: diag(p^e) has entries below p^m (each e_i <= sum(e) < m)
-    class_size = len(members)
+    rng_n = range(n)
+    units = [
+        flat
+        for flat in product(range(q), repeat=n * n)
+        if _det_rows([list(flat[i * n : (i + 1) * n]) for i in rng_n]) % p
+    ]
+    powers = tuple(p**e for e in exponents)
+    # S is nonsingular with every e_i <= sum(e) < m, so its key is its diagonal
+    class_size = enumerate_density(p, m, n, budget=budget).partitions[powers].size
     # a Fraction: when class_size does not divide |GL|^2, no hit count
     # equals it and ok is False
     expected = Fraction(gl_order(p, m, n) ** 2, class_size)
 
-    powers = [p**e for e in exponents]
     hits: Counter = Counter()
-    rng_n = range(n)
-    for L in flats:
+    for L in units:
         scaled = [[L[i * n + k] * powers[k] for k in rng_n] for i in rng_n]
-        for R in flats:
+        for R in units:
             out = []
             for i in rng_n:
                 srow = scaled[i]
                 for j in rng_n:
                     out.append(sum(srow[k] * R[k * n + j] for k in rng_n) % q)
-            key = tuple(out)
-            if key in members:
-                hits[key] += 1
+            hits[tuple(out)] += 1
 
-    ok = all(hits.get(memb, 0) == expected for memb in members)
+    ok = len(hits) == class_size and all(c == expected for c in hits.values())
     return OrbitCheckReport(
         p=p,
         m=m,

@@ -147,16 +147,6 @@ def _val(a: int, p: int) -> Valuation:
     return v
 
 
-def val_p_rat(q: Fraction | int, p: int) -> Valuation:
-    """p-adic valuation extended to rationals: val(a/b) = val(a) - val(b)."""
-    _require_prime(p)
-    q = Fraction(q)
-    if q == 0:
-        return INFINITY
-    # numerator and denominator are nonzero, so both valuations are ints
-    return _val(q.numerator, p) - _val(q.denominator, p)
-
-
 @dataclass(frozen=True)
 class IntMatrix:
     """A square integer matrix, immutable, entries stored row-major."""

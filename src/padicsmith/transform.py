@@ -2,17 +2,22 @@
 
 Almost every matrix is similar in spirit to its Smith form locally: for
 a large prime p, random unimodular-mod-p sandwiching U @ A @ V is
-p-characterized with probability at least 1 - (n^2 + 3n)/p.  This module
-hosts the seeded sampler built on that fact, plus the check that taking
-entries mod p^m (for m beyond val_p(det)) preserves the local story.
+p-characterized with probability at least 1 - (n^2 + 3n)/p (Lemma 3.3).
+One seeded stream of sandwich attempts serves both users of that fact:
+sample_correspondent stops at its first success, and
+single_attempt_success_rate counts the successes among its first trials
+and checks the rate against the bound.  The module also hosts the check
+that taking entries mod p^m (for m beyond val_p(det)) preserves the
+local story.
 """
 
 from __future__ import annotations
 
 import random
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from itertools import islice
 
 from .classify import ClassificationReport, analyze
 from .exact import (
@@ -30,11 +35,7 @@ FAILURE_BOUND_SIGMAS = 3
 
 
 class AttemptsExhaustedError(RuntimeError):
-    """sample_correspondent ran out of attempts; carries the last report seen."""
-
-    def __init__(self, message: str, last_report: ClassificationReport | None):
-        super().__init__(message)
-        self.last_report = last_report
+    """sample_correspondent ran out of attempts."""
 
 
 @dataclass(frozen=True)
@@ -85,20 +86,26 @@ def _require_bound(p: int, bound: int) -> None:
         raise ValueError(f"bound must be a positive multiple of p={p}, got {bound}")
 
 
-def _attempt(
-    A: IntMatrix, U: IntMatrix, V: IntMatrix, p: int
-) -> tuple[IntMatrix, ClassificationReport] | None:
-    """One sandwich attempt: U @ A @ V and its report, or None.
+def _attempts(
+    A: IntMatrix, p: int, bound: int, seed: int | None
+) -> Iterator[tuple[IntMatrix, IntMatrix, IntMatrix, ClassificationReport] | None]:
+    """Endless seeded sandwich attempts: (U, V, U @ A @ V, its report), or None.
 
+    U and then V are drawn row-major over [0, bound) from Random(seed).
     None when U or V is singular mod p: the product is then neither
-    formed nor classified.  The attempt succeeds when the report says
+    formed nor classified.  An attempt succeeds when the report says
     p-characterized; that is exactly the event the probabilistic bound
     counts.
     """
-    if det(U) % p == 0 or det(V) % p == 0:
-        return None
-    result = U @ A @ V
-    return result, analyze(result, p)
+    rng = random.Random(seed)
+    while True:
+        U = _random_matrix(rng, A.n, bound)
+        V = _random_matrix(rng, A.n, bound)
+        if det(U) % p == 0 or det(V) % p == 0:
+            yield None
+        else:
+            result = U @ A @ V
+            yield U, V, result, analyze(result, p)
 
 
 def sample_correspondent(
@@ -107,14 +114,12 @@ def sample_correspondent(
     bound: int | None = None,
     max_attempts: int = 64,
     seed: int | None = None,
-    pair_source: Callable[[], tuple[IntMatrix, IntMatrix]] | None = None,
 ) -> TransformSample:
     """Search for U, V in [0, bound)^(n x n) making U @ A @ V p-characterized.
 
     The entry bound defaults to p and must be a positive multiple of p,
-    which keeps residues mod p exactly uniform.  pair_source overrides
-    the random draw (a deterministic hook for tests); otherwise pairs
-    come from a Random seeded with `seed`.
+    which keeps residues mod p exactly uniform.  Pairs come from a
+    Random seeded with `seed`.
 
     Returns a TransformSample on the first success; the resulting matrix
     is p-characterized, hence p-correspondent.  Raises
@@ -124,48 +129,15 @@ def sample_correspondent(
     if bound is None:
         bound = p
     _require_bound(p, bound)
-    rng = random.Random(seed)
-    last_report: ClassificationReport | None = None
-    for attempt in range(1, max_attempts + 1):
-        if pair_source is not None:
-            U, V = pair_source()
-        else:
-            U = _random_matrix(rng, A.n, bound)
-            V = _random_matrix(rng, A.n, bound)
-        hit = _attempt(A, U, V, p)
-        if hit is None:
-            continue
-        result, last_report = hit
-        if last_report.p_characterized:
+    for attempt, hit in enumerate(islice(_attempts(A, p, bound, seed), max_attempts), 1):
+        if hit is not None and hit[3].p_characterized:
+            U, V, result, report = hit
             return TransformSample(
-                p=p,
-                bound=bound,
-                attempts=attempt,
-                U=U,
-                V=V,
-                result=result,
-                report=last_report,
+                p=p, bound=bound, attempts=attempt, U=U, V=V, result=result, report=report
             )
     raise AttemptsExhaustedError(
-        f"no p-characterized sandwich found in {max_attempts} attempts (p={p}, bound={bound})",
-        last_report,
+        f"no p-characterized sandwich found in {max_attempts} attempts (p={p}, bound={bound})"
     )
-
-
-def count_single_attempt_successes(
-    A: IntMatrix, p: int, bound: int, trials: int, seed: int
-) -> int:
-    """Monte-Carlo driver: independent single sandwich attempts, seeded."""
-    _require_bound(p, bound)
-    rng = random.Random(seed)
-    successes = 0
-    for _ in range(trials):
-        U = _random_matrix(rng, A.n, bound)
-        V = _random_matrix(rng, A.n, bound)
-        hit = _attempt(A, U, V, p)
-        if hit is not None and hit[1].p_characterized:
-            successes += 1
-    return successes
 
 
 def single_attempt_failure_bound(n: int, p: int) -> Fraction:
@@ -185,6 +157,54 @@ def meets_failure_bound(successes: int, trials: int, n: int, p: int) -> bool:
     if shortfall <= 0:
         return True
     return shortfall * shortfall <= Fraction(FAILURE_BOUND_SIGMAS**2) * q * (1 - q) / trials
+
+
+@dataclass(frozen=True)
+class SuccessRateReport:
+    """Lemma 3.3 measured: single seeded attempts against the floor 1 - (n^2+3n)/p."""
+
+    n: int
+    p: int
+    bound: int
+    trials: int
+    successes: int
+    floor: Fraction
+    ok: bool  # meets_failure_bound(successes, trials, n, p)
+
+
+def single_attempt_success_rate(
+    n: int, p: int, bound: int, trials: int, seed: int
+) -> SuccessRateReport:
+    """Count the successes of `trials` single sandwich attempts on one unit matrix.
+
+    A is the first matrix over [0, p) drawn from Random(seed) with det
+    prime to p; the attempts on it come from a second Random(seed).
+    Raises ValueError when the floor 1 - (n^2+3n)/p is not positive,
+    because no success rate could then fall below it.
+    """
+    _require_prime(p)  # before the floor, which p = 1 would report as vacuous
+    floor = 1 - single_attempt_failure_bound(n, p)
+    if floor <= 0:
+        raise ValueError(
+            f"lemma33 floor 1 - (n^2+3n)/p = {floor} is vacuous at p={p}, n={n}: "
+            "no success rate can fall below it"
+        )
+    _require_bound(p, bound)
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    attempts = _attempts(_random_unit_matrix(n, p, seed), p, bound, seed)
+    successes = sum(
+        hit is not None and hit[3].p_characterized for hit in islice(attempts, trials)
+    )
+    return SuccessRateReport(
+        n=n,
+        p=p,
+        bound=bound,
+        trials=trials,
+        successes=successes,
+        floor=floor,
+        ok=meets_failure_bound(successes, trials, n, p),
+    )
 
 
 @dataclass(frozen=True)

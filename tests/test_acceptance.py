@@ -16,13 +16,7 @@ from padicsmith.density import enumerate_density, gl_count, orbit_stabilizer_che
 from padicsmith.exact import IntMatrix, det, val_p
 from padicsmith.newton import eigenvalue_valuations
 from padicsmith.smith import determinantal_divisors, local_profile, smith_form
-from padicsmith.transform import (
-    _random_unit_matrix,
-    count_single_attempt_successes,
-    meets_failure_bound,
-    single_attempt_failure_bound,
-    verify_rem_stability,
-)
+from padicsmith.transform import single_attempt_success_rate, verify_rem_stability
 
 from conftest import (
     CONVEXED,
@@ -206,14 +200,11 @@ def test_criterion_7_gl_ratio():
 
 def test_criterion_8_single_attempt_success_rate():
     start = time.perf_counter()
-    p, n, bound, trials, seed = 101, 3, 101, 1200, 5
-    A = _random_unit_matrix(n, p, seed)
-    successes = count_single_attempt_successes(A, p, bound, trials, seed)
-    assert meets_failure_bound(successes, trials, n, p)
+    rep = single_attempt_success_rate(n=3, p=101, bound=101, trials=1200, seed=5)
+    assert rep.ok
     elapsed = time.perf_counter() - start
     assert elapsed < 60
-    floor = 1 - single_attempt_failure_bound(n, p)
     print(
-        f"ACCEPTANCE 8 PASS: {successes}/{trials} single-attempt successes at p={p} "
-        f"(floor {floor} less 3 sigma) in {elapsed:.1f}s"
+        f"ACCEPTANCE 8 PASS: {rep.successes}/{rep.trials} single-attempt successes at p={rep.p} "
+        f"(floor {rep.floor} less 3 sigma) in {elapsed:.1f}s"
     )

@@ -40,11 +40,9 @@ def test_trace_and_det_endpoints(convexed):
 def test_indexing_and_truncation():
     f = char_poly(IntMatrix.from_rows([[0, 1], [0, 0]]))
     assert f.coeffs == (0, 0)
-    assert f.last_nonzero_index == 0
 
     g = char_poly(IntMatrix.from_rows([[0, 1], [0, 3]]))
     assert g.coeffs == (-3, 0)
-    assert g.last_nonzero_index == 1
 
 
 def test_zero_and_identity():

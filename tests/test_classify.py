@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from padicsmith import classify
-from padicsmith.classify import analyze, is_p_characterized, is_p_correspondent
+from padicsmith.classify import analyze
 from padicsmith.exact import INFINITY, IntMatrix, val_p
 from padicsmith.smith import smith_form
 
@@ -79,11 +79,6 @@ def test_rank_one_shortcut():
     assert rep.profile == (1,)
     assert rep.p_characterized
     assert rep.p_correspondent
-
-
-def test_wrappers_agree(convexed):
-    assert is_p_characterized(convexed, 3) == analyze(convexed, 3).p_characterized
-    assert is_p_correspondent(convexed, 3) == analyze(convexed, 3).p_correspondent
 
 
 def test_report_json_round_trips(trident):

@@ -321,6 +321,31 @@ def test_verify_orbit_reports_a_class_size_not_dividing_gl_squared(monkeypatch, 
     )
 
 
+def test_verify_orbit_reports_a_wrong_class_size_from_the_engine(monkeypatch, capsys):
+    import dataclasses
+
+    import padicsmith.density as density
+
+    real = density.enumerate_density
+
+    def one_too_many(*args, **kwargs):
+        row = real(*args, **kwargs)
+        grown = {
+            diag: dataclasses.replace(cell, size=cell.size + 1)
+            for diag, cell in row.partitions.items()
+        }
+        return dataclasses.replace(row, partitions=grown)
+
+    monkeypatch.setattr(density, "enumerate_density", one_too_many)
+    assert main(["verify", "--suite", "orbit"]) == 1
+    # the pairs still hit 6, 48 and 72 members, each |GL|^2 / that many times
+    assert capsys.readouterr().out == (
+        "FAIL orbit p=2 m=1 e=[0, 0]: class size 7, 36/7 pairs per member\n"
+        "FAIL orbit p=3 m=1 e=[0, 0]: class size 49, 2304/49 pairs per member\n"
+        "FAIL orbit p=2 m=2 e=[0, 1]: class size 73, 9216/73 pairs per member\n"
+    )
+
+
 @pytest.mark.parametrize("suite", ["theorem1", "gl-ratio", "rem-stability", "lemma33", "orbit"])
 def test_verify_rejects_nonpositive_flags(suite, capsys):
     # an explicit 0 used to read as "flag not given" and run the defaults

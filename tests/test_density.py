@@ -19,7 +19,8 @@ from padicsmith.density import (
     orbit_stabilizer_check,
     round_half_up_2dec,
 )
-from padicsmith.exact import BudgetExceededError, IntMatrix, UnsupportedSizeError, det, val_p
+from padicsmith.exact import BudgetExceededError, IntMatrix, UnsupportedSizeError, det, rem_pm, val_p
+from padicsmith.smith import local_profile
 
 
 def test_rounding_renders_two_decimals():
@@ -227,6 +228,15 @@ def test_budget_guard():
         enumerate_density(2, 9, 3, budget=2**20)
 
 
+def test_enumerate_density_rejects_empty_boxes_and_no_workers():
+    with pytest.raises(ValueError, match="need m >= 1 and n >= 1, got m=0, n=2"):
+        enumerate_density(2, 0, 2)
+    with pytest.raises(ValueError, match="need m >= 1 and n >= 1, got m=1, n=0"):
+        enumerate_density(2, 1, 0)
+    with pytest.raises(ValueError, match="threads must be >= 1, got 0"):
+        enumerate_density(2, 1, 2, threads=0)
+
+
 def _analyze_outcome(rows, p, m):
     """classify_residue_matrix's result, from classify.analyze."""
     A = IntMatrix.from_rows(rows)
@@ -396,6 +406,41 @@ def test_orbit_stabilizer_rejects_bad_profiles():
         orbit_stabilizer_check(2, 1, (1, 0))
     with pytest.raises(ValueError):
         orbit_stabilizer_check(2, 1, (0, 1))
+    with pytest.raises(ValueError, match="at least one exponent"):
+        orbit_stabilizer_check(2, 1, ())
+
+
+def test_orbit_stabilizer_refuses_a_pair_space_over_budget(monkeypatch):
+    import padicsmith.density as density
+
+    def never(*args, **kwargs):
+        pytest.fail("the class was counted for a pair space over budget")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(density, "enumerate_density", never)
+        # (2^1)^(2 * 4) = 256 pairs
+        with pytest.raises(BudgetExceededError, match=r"pair space \(p\^m\)\^\(2 n\^2\) = 256 exceeds budget 255"):
+            orbit_stabilizer_check(2, 1, (0, 0), budget=255)
+    assert orbit_stabilizer_check(2, 1, (0, 0), budget=256).ok
+
+
+def test_orbit_stabilizer_agrees_with_a_profile_scan():
+    # class sizes and hit counts from local_profile on every matrix of the
+    # box and every pair, without the unit-determinant restriction
+    for p, m, exponents in [(2, 1, (0,)), (3, 1, (0,)), (2, 2, (1,)), (2, 1, (0, 0)), (2, 2, (0, 1))]:
+        n, q = len(exponents), p**m
+        S = [[p**e if i == j else 0 for j, e in enumerate(exponents)] for i in range(n)]
+        box = [
+            IntMatrix.from_rows([flat[i * n : (i + 1) * n] for i in range(n)])
+            for flat in product(range(q), repeat=n * n)
+        ]
+        members = {M for M in box if local_profile(M, p).exponents == exponents}
+        scaled = [L @ IntMatrix.from_rows(S) for L in box]
+        hits = Counter(rem_pm(LS @ R, p, m) for LS in scaled for R in box)
+        rep = orbit_stabilizer_check(p, m, exponents)
+        assert rep.class_size == len(members)
+        assert rep.ok
+        assert {hits[M] for M in members} == {rep.pair_count_per_member}
 
 
 def test_min_over_single_cell():

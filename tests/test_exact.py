@@ -15,7 +15,6 @@ from padicsmith.exact import (
     parse_matrix,
     rem_pm,
     val_p,
-    val_p_rat,
     rank,
 )
 
@@ -51,13 +50,6 @@ def test_val_p_is_exact_exponent(a, p):
     assert a % p ** (v + 1) != 0
 
 
-def test_val_p_rat():
-    assert val_p_rat(Fraction(1, 3), 3) == -1
-    assert val_p_rat(Fraction(18, 4), 2) == -1
-    assert val_p_rat(Fraction(18, 4), 3) == 2
-    assert val_p_rat(Fraction(0), 2) is INFINITY
-
-
 def test_infinity_is_a_top_element():
     assert INFINITY == INFINITY
     assert INFINITY > 10**100
@@ -67,6 +59,25 @@ def test_infinity_is_a_top_element():
     assert 3 + INFINITY is INFINITY
     assert min(INFINITY, 2) == 2
     assert sorted([INFINITY, 0, 7]) == [0, 7, INFINITY]
+    assert INFINITY <= INFINITY and not INFINITY <= 10**100
+    assert 5 <= INFINITY and Fraction(4, 3) <= INFINITY
+    assert INFINITY >= INFINITY and INFINITY >= -7 and INFINITY >= Fraction(1, 2)
+    assert not 5 >= INFINITY
+
+
+def test_infinity_arithmetic_edges():
+    assert INFINITY - 4 is INFINITY
+    assert INFINITY - Fraction(1, 3) is INFINITY
+    with pytest.raises(ArithmeticError, match="INFINITY - INFINITY"):
+        INFINITY - INFINITY
+    # only valuations take part: other types are refused, not absorbed
+    for other in (1.5, "1", None):
+        with pytest.raises(TypeError):
+            INFINITY - other
+        with pytest.raises(TypeError):
+            INFINITY <= other
+        with pytest.raises(TypeError):
+            INFINITY >= other
 
 
 def test_infinity_pickles_to_the_singleton():

@@ -3,6 +3,7 @@
 They catch a script importing a name the package no longer has.
 """
 
+import ast
 import os
 import subprocess
 import sys
@@ -33,6 +34,30 @@ def run_script(*argv: str) -> str:
     proc = spawn_script(*argv)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     return proc.stdout
+
+
+def test_scripts_import_only_public_names():
+    # a script is a user of the package, so it goes through its public surface
+    private = []
+    scripts = sorted(SCRIPTS.glob("*.py"))
+    assert scripts
+    for path in scripts:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and node.module:
+                parts = node.module.split(".")
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Import):
+                parts = [part for alias in node.names for part in alias.name.split(".")]
+                names = []
+            else:
+                continue
+            if parts[0] == "padicsmith":
+                private += [
+                    f"{path.name}:{node.lineno} {name}"
+                    for name in parts[1:] + names
+                    if name.startswith("_")
+                ]
+    assert private == []
 
 
 @pytest.mark.parametrize(

@@ -3,25 +3,28 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from padicsmith import transform
 from padicsmith.classify import analyze
 from padicsmith.charpoly import char_poly
 from padicsmith.exact import IntMatrix, det, rem_pm, val_p
 from padicsmith.smith import local_profile
 from padicsmith.transform import (
     AttemptsExhaustedError,
-    count_single_attempt_successes,
     meets_failure_bound,
     sample_correspondent,
     single_attempt_failure_bound,
+    single_attempt_success_rate,
     verify_rem_stability,
 )
 
 from conftest import HEPTA_U, HEPTA_V
 
 
-def test_published_pair_succeeds_first_try(hepta, hepta_fixed):
-    pairs = iter([(IntMatrix.from_rows(HEPTA_U), IntMatrix.from_rows(HEPTA_V))])
-    sample = sample_correspondent(hepta, 7, bound=63, pair_source=lambda: next(pairs))
+def test_published_pair_succeeds_first_try(monkeypatch, hepta, hepta_fixed):
+    # each attempt draws U, then V
+    draws = iter([IntMatrix.from_rows(HEPTA_U), IntMatrix.from_rows(HEPTA_V)])
+    monkeypatch.setattr(transform, "_random_matrix", lambda rng, n, bound: next(draws))
+    sample = sample_correspondent(hepta, 7, bound=63)
     assert sample.attempts == 1
     assert sample.result == hepta_fixed
     assert sample.report.p_characterized
@@ -51,15 +54,24 @@ def test_bound_must_be_multiple_of_p(hepta):
         sample_correspondent(hepta, 7, bound=0)
 
 
-def test_exhaustion_raises_with_last_report(hepta):
+def test_exhaustion_refuses_singular_pairs_unclassified(monkeypatch, hepta):
     singular = IntMatrix.from_rows([[7, 0, 0, 0], [0, 7, 0, 0], [0, 0, 7, 0], [0, 0, 0, 7]])
+    draws = []
+
+    def draw(rng, n, bound):
+        draws.append(bound)
+        return singular
+
+    def never(A, p):
+        pytest.fail("a product of a singular pair was classified")
+
+    monkeypatch.setattr(transform, "_random_matrix", draw)
+    monkeypatch.setattr(transform, "analyze", never)
     with pytest.raises(AttemptsExhaustedError) as exc:
-        sample_correspondent(
-            hepta, 7, bound=7, max_attempts=3, pair_source=lambda: (singular, singular)
-        )
-    assert "3" in str(exc.value)
-    # singular pairs are refused before any product is classified
-    assert exc.value.last_report is None
+        sample_correspondent(hepta, 7, bound=7, max_attempts=3)
+    assert str(exc.value) == "no p-characterized sandwich found in 3 attempts (p=7, bound=7)"
+    # two draws per attempt, and none past the last one
+    assert draws == [7] * 6
 
 
 def test_failure_bound_values():
@@ -72,10 +84,36 @@ def test_meets_failure_bound_edges():
     assert not meets_failure_bound(0, 1000, n=3, p=101)
 
 
-def test_counting_is_deterministic(hepta):
-    runs = [count_single_attempt_successes(hepta, 101, 101, trials=50, seed=9) for _ in range(2)]
+def test_counting_is_deterministic():
+    runs = [single_attempt_success_rate(4, 101, 101, trials=50, seed=9) for _ in range(2)]
     assert runs[0] == runs[1]
-    assert 0 <= runs[0] <= 50
+    rep = runs[0]
+    assert (rep.n, rep.p, rep.bound, rep.trials) == (4, 101, 101, 50)
+    assert 0 <= rep.successes <= 50
+    assert rep.floor == 1 - single_attempt_failure_bound(4, 101)
+    assert rep.ok == meets_failure_bound(rep.successes, 50, 4, 101)
+
+
+def test_success_rate_matches_the_sampler():
+    # both read one attempt stream: the sampler's first success, attempt a,
+    # is the rate's first success on the same matrix and seed
+    for seed in range(12):
+        A = transform._random_unit_matrix(2, 11, seed)
+        a = sample_correspondent(A, 11, seed=seed).attempts
+        assert single_attempt_success_rate(2, 11, 11, trials=a, seed=seed).successes == 1
+        if a > 1:
+            assert single_attempt_success_rate(2, 11, 11, trials=a - 1, seed=seed).successes == 0
+
+
+def test_success_rate_refusals():
+    with pytest.raises(ValueError, match="p must be prime"):
+        single_attempt_success_rate(3, 1, 1, trials=10, seed=0)
+    with pytest.raises(ValueError, match=r"floor 1 - \(n\^2\+3n\)/p = -13/5 is vacuous at p=5, n=3"):
+        single_attempt_success_rate(3, 5, 5, trials=10, seed=0)
+    with pytest.raises(ValueError, match="bound must be a positive multiple"):
+        single_attempt_success_rate(3, 101, 50, trials=10, seed=0)
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        single_attempt_success_rate(3, 101, 101, trials=0, seed=0)
 
 
 def test_rem_stability_pinned(reducible):
