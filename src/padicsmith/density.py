@@ -26,6 +26,9 @@ A -> A^T keeps the diagonal, the characteristic polynomial and the Smith
 form, and swaps a01 with a10.  So for n >= 2 only representatives with
 a01 <= a10 are classified (the other off-diagonal entries over the full
 box); one with a01 < a10 also stands for its transpose and counts twice.
+The representatives of one sorted diagonal are the unit of work: the
+walk tallies one diagonal after another, and with workers each diagonal
+is one task.
 
 One classifier serves every n; its agreement with the general machinery
 in classify.analyze is enforced by the test suite.  It reduces a matrix
@@ -104,11 +107,12 @@ from __future__ import annotations
 
 import sys
 from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, combinations, combinations_with_replacement, islice, product
+from itertools import chain, combinations, combinations_with_replacement, product
 from math import comb, factorial, gcd, prod
 
 from .exact import BudgetExceededError, UnsupportedSizeError, _det_rows, _require_prime, val_p
@@ -117,9 +121,10 @@ DEFAULT_BUDGET = 2**30
 
 # Fewest matrices classified one by one for which enumerate_density starts
 # workers.  Two workers take some 15-30 ms to start and merge (2 vCPUs,
-# CPython 3.11).  They lose on every cell of the density table, up to
-# (2,2,3), which counts 98304 (34 ms serially, 36-49 ms on two), and win
-# from (5,1,3), which counts 328125 (244 ms serially, 150 ms on two).
+# CPython 3.11, one sorted diagonal per task).  They lose on every cell of
+# the density table, up to (2,2,3), which counts 98304 (22 ms serially,
+# 28-43 ms on two), and win from (5,1,3), which counts 328125 (230 ms
+# serially, 145-160 ms on two).
 _POOL_MIN_ONE_BY_ONE = 2**17
 
 # gl_count checks the closed form against an exhaustive count up to this many matrices
@@ -493,14 +498,19 @@ def classify_residue_matrix(
     localized at p; det_filtered flags val_p(det) < m.  Semantics are
     identical to classify.analyze; the test suite pins the two
     implementations together.  Raises ValueError when an entry lies
-    outside [0, p^m), UnsupportedSizeError when n > 6.
+    outside [0, p^m) or rows is not n >= 1 rows of n entries,
+    UnsupportedSizeError when n > 6.
     """
+    n = len(rows)
+    if n < 1 or any(len(row) != n for row in rows):
+        raise ValueError(
+            f"residue matrix must be n >= 1 rows of n entries each, got {[list(r) for r in rows]}"
+        )
     q = p**m
     if min(map(min, rows)) < 0 or max(map(max, rows)) >= q:
         raise ValueError(
             f"residue matrix entries must lie in [0, {q}), got {[list(r) for r in rows]}"
         )
-    n = len(rows)
     char, corr, key = _outcome(_signatures(n)(rows[:-1], rows[-1:], _valuation_table(p, m, n))[0])
     return char, corr, key, _det_filtered(key, n, m)
 
@@ -515,81 +525,54 @@ def _arrangements(diag: tuple[int, ...]) -> int:
 
 
 def _representative_count(p: int, n: int) -> int:
-    """Size of the flat representative index of the (p, 1, n) box: sorted
-    diagonals x (a01 <= a10) pairs x the other off-diagonal digits."""
+    """Number of representatives of the (p, 1, n) box: sorted diagonals
+    x (a01 <= a10) pairs x the other off-diagonal digits."""
     if n == 1:
         return p
     return comb(p + n - 1, n) * comb(p + 1, 2) * p ** (n * n - n - 2)
 
 
-def _walk(groups, start: int, stop: int):
-    """The matrices product(*group) of each group, chained, with flat
-    index in [start, stop), as (prefix, lasts) runs.
+def _walk(groups):
+    """The matrices product(*group) of each group, chained, as (prefix, lasts) runs.
 
     The last factor of a group is a sequence of last rows, so a run is
-    one prefix, a tuple of rows 0 .. n-2, with the slice of the last rows
-    that falls in the range.  Groups without members are passed over.
+    one prefix, a tuple of rows 0 .. n-2, with all of the group's last
+    rows.
     """
     for *heads, lasts in groups:
-        width = len(lasts)
-        size = prod(map(len, heads)) * width
-        if start <= 0 and size <= stop:  # the whole group, as most are
-            for prefix in product(*heads):
-                yield prefix, lasts
-        elif start < size and stop > 0:
-            first = max(start, 0) // width
-            offset = first * width  # flat index of the run, within the group
-            for prefix in islice(product(*heads), first, None):
-                if offset >= stop:
-                    return
-                yield prefix, lasts[max(start - offset, 0) : stop - offset]
-                offset += width
-        start -= size
-        stop -= size
+        for prefix in product(*heads):
+            yield prefix, lasts
 
 
-def _blocks(p: int, n: int, lo: int, hi: int):
-    """The representatives of the (p, 1, n) box with flat index in [lo, hi).
+def _blocks(p: int, n: int, diag: tuple[int, ...]):
+    """The representatives of the (p, 1, n) box with sorted diagonal diag.
 
     Yields (runs, weight) per block: runs is a _walk over the block's
     (prefix, lasts) runs, in which each matrix stands for weight
     matrices.  A representative has a non-decreasing diagonal and
-    a01 <= a10.  Per sorted diagonal, the representatives with a01 < a10
-    come first, then those with a01 = a10; each block is ordered by
-    (a01, rest of row 0, a10, rest of row 1, rows 2 .. n-1 row-major),
-    last digit fastest.  A representative stands for the
-    n!/prod(multiplicity!) diagonal arrangements that permutation
-    similarity reaches, times 2 for its transpose when a01 < a10.
+    a01 <= a10.  Those with a01 < a10 form the strict block, those with
+    a01 = a10 the tied one; each block is ordered by (a01, rest of row 0,
+    a10, rest of row 1, rows 2 .. n-1 row-major), last digit fastest.  A
+    representative stands for the n!/prod(multiplicity!) diagonal
+    arrangements that permutation similarity reaches, times 2 for its
+    transpose when a01 < a10.
     """
+    weight = _arrangements(diag)
     if n == 1:
-        yield _walk([([(x,) for x in range(p)],)], lo, hi), 1
+        yield _walk([([diag],)]), weight
         return
-    tail = p ** (n * n - n - 2)  # representatives per (a01, a10) pair
-    fills = tuple(product(range(p), repeat=n - 2))  # rest of rows 0 and 1
-    row_fills = tuple(product(range(p), repeat=n - 1))  # rows 2 .. n-1
-    d_lo, skip = divmod(lo, comb(p + 1, 2) * tail)
-    left = hi - lo
-    for diag in islice(combinations_with_replacement(range(p), n), d_lo, None):
-        if left <= 0:
-            break
-        d0, d1 = diag[:2]
-        # rows 0 and 1 indexed by a01 and a10, each over its other fills;
-        # row i >= 2 runs over its p^(n-1) off-diagonal fills around diag[i]
-        row0 = [[(d0, x) + f for f in fills] for x in range(p)]
-        row1 = [[(y, d1) + f for f in fills] for y in range(p)]
-        rest = [[f[:i] + (d,) + f[i:] for f in row_fills] for i, d in enumerate(diag) if i >= 2]
-        weight = _arrangements(diag)
-        # one group per a01 in each block: row 1 over every a10 > a01
-        # (strict), then with a10 = a01 (tied)
-        strict = [(row0[x], [r for y in range(x + 1, p) for r in row1[y]], *rest) for x in range(p)]
-        tied = [(row0[x], row1[x], *rest) for x in range(p)]
-        for groups, pairs, mult in ((strict, comb(p, 2), 2), (tied, p, 1)):
-            size = pairs * tail
-            count = min(size - skip, left)
-            if count > 0:
-                yield _walk(groups, skip, skip + count), weight * mult
-                left -= count
-            skip = max(skip - size, 0)
+    d0, d1 = diag[:2]
+    # rows 0 and 1 indexed by a01 and a10, each over its other fills;
+    # row i >= 2 runs over its p^(n-1) off-diagonal fills around diag[i]
+    row0 = [[(d0, x, *f) for f in product(range(p), repeat=n - 2)] for x in range(p)]
+    row1 = [[(y, d1, *f) for f in product(range(p), repeat=n - 2)] for y in range(p)]
+    rest = [[(*f[:i], d, *f[i:]) for f in product(range(p), repeat=n - 1)] for i, d in enumerate(diag) if i >= 2]
+    # one group per a01 in each block: row 1 over every a10 > a01
+    # (strict, empty for a01 = p - 1), then with a10 = a01 (tied)
+    strict = [(row0[x], [r for y in range(x + 1, p) for r in row1[y]], *rest) for x in range(p - 1)]
+    tied = [(row0[x], row1[x], *rest) for x in range(p)]
+    yield _walk(strict), 2 * weight
+    yield _walk(tied), weight
 
 
 def _lifts(row, p: int, m: int) -> list[tuple[int, ...]]:
@@ -642,8 +625,8 @@ def _corank_one_keys(cls, p: int, m: int, vt) -> Counter:
     return keys
 
 
-def _tally_range(args: tuple[int, int, int, int, int]) -> Counter:
-    """Tally the (p, 1, n) representatives with flat index in [lo, hi).
+def _tally(args: tuple[int, int, int, Iterable[tuple[int, ...]]]) -> Counter:
+    """Tally the (p, 1, n) representatives with a sorted diagonal in diags.
 
     Returns a Counter of outcomes (characterized, correspondent,
     partition_key), each counted with its weight.  For m = 1 each
@@ -652,9 +635,10 @@ def _tally_range(args: tuple[int, int, int, int, int]) -> Counter:
     counted by the stratum of its rank mod p (see the module docstring);
     only ranks 1 .. n-2 classify their lifts one by one.
     """
-    p, m, n, lo, hi = args
+    p, m, n, diags = args
     sigs, vt = _signatures(n), _valuation_table(p, m, n)
     tally: Counter = Counter()
+    blocks = chain.from_iterable(_blocks(p, n, diag) for diag in diags)
 
     def count_block(runs, weight):
         counts = Counter(chain.from_iterable(sigs(prefix, lasts, vt) for prefix, lasts in runs))
@@ -662,14 +646,14 @@ def _tally_range(args: tuple[int, int, int, int, int]) -> Counter:
             tally[_outcome(sig)] += weight * count
 
     if m == 1:
-        for runs, weight in _blocks(p, n, lo, hi):
+        for runs, weight in blocks:
             count_block(runs, weight)
         return tally
 
     vt1 = _valuation_table(p, 1, n)
     units = (0,) * (n - 1)
     class_size = p ** ((m - 1) * n * n)
-    for runs, weight in _blocks(p, n, lo, hi):
+    for runs, weight in blocks:
         for prefix, lasts in runs:
             for last, sig in zip(lasts, sigs(prefix, lasts, vt1)):
                 rank = sig[n:].count(0)  # Delta_k = 0 iff some k x k minor is a unit
@@ -677,7 +661,7 @@ def _tally_range(args: tuple[int, int, int, int, int]) -> Counter:
                 if rank == n:
                     tally[char, True, (n, *units, 0)] += weight * class_size
                 elif rank == 0:
-                    below = _tally_range((p, m - 1, n, 0, _representative_count(p, n)))
+                    below = _tally((p, m - 1, n, combinations_with_replacement(range(p), n)))
                     for (c, r, (k, *exps)), w in below.items():
                         tally[c, r, (k, *(e + 1 for e in exps))] += weight * w
                 elif rank == n - 1:
@@ -685,7 +669,7 @@ def _tally_range(args: tuple[int, int, int, int, int]) -> Counter:
                     for key, w in _corank_one_keys((*prefix, last), p, m, vt).items():
                         tally[char, corr, key] += weight * w
                 else:
-                    count_block(_walk([[_lifts(row, p, m) for row in (*prefix, last)]], 0, class_size), weight)
+                    count_block(_walk([[_lifts(row, p, m) for row in (*prefix, last)]]), weight)
     return tally
 
 
@@ -711,12 +695,13 @@ def enumerate_density(
 
     The walk runs over the representatives of the (p, 1, n) box, each
     weighted by its number of diagonal arrangements: single matrices for
-    m = 1, classes mod p for m >= 2 (see the module docstring).  The
-    representatives split into contiguous ranges of one flat index
-    (sorted diagonal, off-diagonal digits) merged in job order, so the
-    result is independent of thread count.  Raises BudgetExceededError
-    when the full space (p^m)^(n^2) is larger than budget, however few of
-    its matrices are classified one by one.
+    m = 1, classes mod p for m >= 2 (see the module docstring).  With
+    workers, each sorted diagonal is one task, handed to the next free
+    worker, and the tallies are summed, so the result is independent of
+    thread count.  Raises BudgetExceededError when the full space
+    (p^m)^(n^2) is larger than budget, however few of its matrices are
+    classified one by one, and UnsupportedSizeError past n = 6, both
+    before any work starts.
     """
     _require_prime(p)
     if m < 1 or n < 1:
@@ -725,25 +710,22 @@ def enumerate_density(
     total = _box_size(p, m, n, budget)
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
+    _signatures(n)  # refuses n > _SIGNATURE_MAX_N here, not in the workers
 
     reps = _representative_count(p, n)
     # Workers pay off only for matrices classified one by one: every
     # representative for m = 1, and for m >= 2 at most every lift of a
     # class, none at n <= 2, where every class is counted whole.
     one_by_one = reps if m == 1 else reps * p ** ((m - 1) * n * n) if n > 2 else 0
+    diags = tuple(combinations_with_replacement(range(p), n))
     if threads == 1 or one_by_one < _POOL_MIN_ONE_BY_ONE:
-        tally = _tally_range((p, m, n, 0, reps))
+        tally = _tally((p, m, n, diags))
     else:
         import multiprocessing as mp
 
-        bounds = [reps * i // threads for i in range(threads + 1)]
-        jobs = [
-            (p, m, n, bounds[i], bounds[i + 1])
-            for i in range(threads)
-            if bounds[i] < bounds[i + 1]
-        ]
-        with mp.Pool(threads) as pool:
-            tally = sum(pool.imap(_tally_range, jobs), Counter())
+        tasks = [(p, m, n, (diag,)) for diag in diags]
+        with mp.Pool(min(threads, len(tasks))) as pool:
+            tally = sum(pool.imap(_tally, tasks, chunksize=1), Counter())
     weight = sum(tally.values())
     if weight != total:
         raise AssertionError(

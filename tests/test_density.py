@@ -2,7 +2,8 @@ import multiprocessing
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import combinations_with_replacement, product
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -84,46 +85,67 @@ def test_thread_counts_agree(monkeypatch):
     # These cells are too small to start workers by themselves, so the
     # pool threshold is lowered to one matrix classified one by one.
     # (3,2,2) counts every class whole, so it still runs serially for any
-    # worker count; the others run the pool.  (2,1,4) has only 5 sorted
-    # diagonals, so 3 workers split inside them, (3,1,3) splits inside
-    # the strict and tied pair blocks of an n=3 cell, and (2,2,3) splits
-    # the classes mod 2 whose rank 1 lifts are classified one by one
+    # worker count; the others run the pool, one sorted diagonal per
+    # task.  (2,1,4) deals its 5 diagonals unevenly to 2 or 3 workers,
+    # (3,1,3) walks the strict and tied pair blocks of an n=3 cell in
+    # each task, (2,2,3) classifies the rank 1 lifts of its classes mod 2
+    # one by one, and (2,1,2) has 3 diagonals for 4 workers
     import padicsmith.density as density
 
     monkeypatch.setattr(density, "_POOL_MIN_ONE_BY_ONE", 1)
-    for cell in [(3, 2, 2), (2, 1, 4), (3, 1, 3), (2, 2, 3)]:
+    runs = [((3, 2, 2), (2, 3)), ((2, 1, 4), (2, 3)), ((3, 1, 3), (2, 3)), ((2, 2, 3), (2, 3)), ((2, 1, 2), (4,))]
+    for cell, thread_counts in runs:
         for convention in Convention:
             serial = enumerate_density(*cell, convention=convention, threads=1)
-            for threads in (2, 3):
+            for threads in thread_counts:
                 assert enumerate_density(*cell, convention=convention, threads=threads) == serial
 
 
-@pytest.mark.parametrize(
-    "cell, cuts",
-    [
-        # per sorted diagonal, 3 strict representatives (a01 = 0: 2, a01 = 1:
-        # 1, a01 = 2: none) then 3 tied; 1 cuts the a01 = 0 run, 3 is the
-        # strict/tied edge where the empty a01 = 2 group sits, 6 and 18 are
-        # diagonal edges
-        ((3, 1, 2), [1, 3, 6, 7, 18, 20]),
-        # runs of 9 last rows; per diagonal, strict groups of 162, 81 and
-        # none, then 243 tied
-        ((3, 1, 3), [4, 162, 200, 243, 486, 1000]),
-        # runs of 8; per diagonal, one strict group of 1024 and an empty
-        # one, then 2048 tied
-        ((2, 1, 4), [3, 1024, 2001, 3072, 7001]),
-        # classes mod 2 in runs of 4; per diagonal 16 strict, then 32 tied
-        ((2, 2, 3), [2, 16, 50, 96, 101]),
-    ],
-)
-def test_tallies_split_anywhere_sum_to_the_whole(cell, cuts):
+# Together these cover every stratum: m = 1 at n = 2, 3 and 4, classes of
+# every rank mod 2 at (2,2,3), and at (3,2,2) classes counted whole and
+# the A mod p = 0 class that reuses the tally of (3,1,2).
+@pytest.mark.parametrize("cell", [(3, 1, 2), (3, 1, 3), (2, 1, 4), (2, 2, 3), (3, 2, 2)])
+def test_per_diagonal_tallies_sum_to_the_whole(cell):
     import padicsmith.density as density
 
     p, m, n = cell
-    reps = density._representative_count(p, n)
-    bounds = [0, *cuts, reps]
-    parts = [density._tally_range((p, m, n, lo, hi)) for lo, hi in zip(bounds, bounds[1:])]
-    assert sum(parts, Counter()) == density._tally_range((p, m, n, 0, reps))
+    diags = list(combinations_with_replacement(range(p), n))
+    whole = density._tally((p, m, n, diags))
+    assert sum(whole.values()) == (p**m) ** (n * n)
+    assert sum((density._tally((p, m, n, (diag,))) for diag in diags), Counter()) == whole
+
+
+@pytest.mark.parametrize("cell", [(3, 1, 3), (2, 2, 3)])
+def test_pool_gets_one_task_per_sorted_diagonal(monkeypatch, cell):
+    # a free worker takes the next diagonal: C(p+n-1, n) tasks of one
+    # diagonal each, in order, not one precomputed share per worker
+    import padicsmith.density as density
+
+    tasks = []
+
+    class RecordingPool:
+        def __init__(self, processes):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, func, iterable, chunksize=1):
+            assert chunksize == 1
+            for args in iterable:
+                tasks.append(args)
+                yield func(args)
+
+    p, m, n = cell
+    serial = enumerate_density(p, m, n)
+    monkeypatch.setattr(density, "_POOL_MIN_ONE_BY_ONE", 1)
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+    assert enumerate_density(p, m, n, threads=2) == serial
+    assert len(tasks) == comb(p + n - 1, n)
+    assert tasks == [(p, m, n, (diag,)) for diag in combinations_with_replacement(range(p), n)]
 
 
 def test_no_pool_when_every_class_is_counted_whole(monkeypatch):
@@ -237,6 +259,18 @@ def test_enumerate_density_rejects_empty_boxes_and_no_workers():
         enumerate_density(2, 1, 2, threads=0)
 
 
+def test_enumerate_density_refuses_n_past_six_before_starting_workers(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("multiprocessing.Pool started")
+
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    with pytest.raises(UnsupportedSizeError, match="n <= 6, got 7"):
+        enumerate_density(2, 1, 7, threads=2, budget=10**20)
+    # the budget is still checked first
+    with pytest.raises(BudgetExceededError):
+        enumerate_density(2, 1, 7, threads=2)
+
+
 def _analyze_outcome(rows, p, m):
     """classify_residue_matrix's result, from classify.analyze."""
     A = IntMatrix.from_rows(rows)
@@ -262,6 +296,9 @@ def test_classifier_rejects_entries_outside_the_box():
     assert classify_residue_matrix([[0, 3], [1, 1]], 2, 2) == (True, True, (2, 0, 0), True)
     with pytest.raises(UnsupportedSizeError):
         classify_residue_matrix([[0] * 7] * 7, 2, 1)
+    for rows in ([], [[0, 1]], [[0, 1], [1]]):
+        with pytest.raises(ValueError, match="n >= 1 rows of n entries each"):
+            classify_residue_matrix(rows, 2, 1)
 
 
 def test_classifier_past_the_table_limit_matches_analyze():
