@@ -6,13 +6,20 @@ coefficients match the valuations of its determinantal divisors on
 eigenvalues equals the valuation profile of its invariant factors.
 Characterized implies correspondent; the converse fails.
 
-Each f_k is a signed sum of k x k minors, so the valuation Delta_k of the
-k-th determinantal divisor is at most v(f_k) (Mazur's inequality), and a
-unit f_k forces e_1 = ... = e_k = 0.  A unit f_{n-1} or f_n therefore
-fixes the whole Smith profile from the characteristic polynomial alone:
-the last exponent is v(f_n) when f_n != 0, and the rank is n - 1 when
-f_n = 0.  analyze reads the profile off the charpoly in that case and
-runs the local elimination only for the rest.
+Both valuation vectors come from minors: f_k is a signed sum of the
+principal k x k minors, and Delta_k, the valuation of the k-th
+determinantal divisor, is the least valuation of a k x k minor.  For
+n <= 4 analyze reads v(f_1..f_n) and Delta_1..Delta_n from one call of
+the density engine's compiled signature kernel, which computes every
+minor once.
+
+For n >= 5 the coefficients come from Berkowitz.  Delta_k <= v(f_k)
+(Mazur's inequality), so a unit f_k forces e_1 = ... = e_k = 0, and a
+unit f_{n-1} or f_n fixes the whole Smith profile from the
+characteristic polynomial alone: the last exponent is v(f_n) when
+f_n != 0, and the rank is n - 1 when f_n = 0.  analyze reads the profile
+off the charpoly in that case and runs the local elimination only for
+the rest.
 """
 
 from __future__ import annotations
@@ -21,6 +28,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 from .charpoly import char_poly
+from .density import _VAL_OF_ZERO, _LazyValuations, _signatures, _smith_valuations
 from .exact import (
     INFINITY,
     MatrixLike,
@@ -32,6 +40,14 @@ from .exact import (
 )
 from .newton import EigenvalueValuations, _eigenvalue_valuations
 from .smith import local_profile
+
+# Largest n whose valuations analyze reads off the signature kernel.  The
+# kernel is compiled once per process and n: about 0.1, 0.2, 0.6 and
+# 1.9 ms for n = 1..4, against 4.4 ms at n = 5 and 32 ms at n = 6 (2 vCPUs,
+# CPython 3.11), a cost a one-shot CLI call pays in full.  For n >= 5
+# Berkowitz and local_profile stay the only route, the one the tests hold
+# the kernel to.
+_KERNEL_MAX_N = 4
 
 
 @dataclass(frozen=True)
@@ -71,22 +87,30 @@ def analyze(A: MatrixLike, p: int) -> ClassificationReport:
     predicates vacuously; a matrix with fewer nonzero eigenvalues than
     its rank is degenerate and is not p-correspondent.
 
-    The charpoly is valued first.  When f_{n-1} or f_n is a p-unit (or
-    n = 1, taking f_0 = 1), Delta_k <= v(f_k) pins the Smith profile to
-    (0, ..., 0, v(f_n)), or to n - 1 zeros when f_n = 0; only the other
-    matrices go through local_profile's elimination.
+    For n <= _KERNEL_MAX_N one signature kernel call gives v(f_k) and
+    Delta_k for every k, and the rank and exponents are read off the
+    Delta_k as the density engine reads them.  For larger n the charpoly
+    is valued first.  When f_{n-1} or f_n is a p-unit, Delta_k <= v(f_k)
+    pins the Smith profile to (0, ..., 0, v(f_n)), or to n - 1 zeros when
+    f_n = 0; only the other matrices go through local_profile's
+    elimination.
     """
     _require_prime(p)  # before _val, which never returns for p = 1
     A = _as_matrix(A)
     n = A.n
-    vals = [_val(c, p) for c in char_poly(A).coeffs]
-    if n == 1 or 0 in vals[-2:]:
-        last = vals[-1]
-        exponents = (0,) * (n - 1) + ((last,) if last is not INFINITY else ())
+    if n <= _KERNEL_MAX_N:
+        sig = _signatures(n)(A.rows[:-1], A.rows[-1:], _LazyValuations(p))[0]
+        vals = [INFINITY if v == _VAL_OF_ZERO else v for v in sig[:n]]
+        delta_vals, exponents = _smith_valuations(sig)
     else:
-        exponents = local_profile(A, p).exponents
+        vals = [_val(c, p) for c in char_poly(A).coeffs]
+        if 0 in vals[-2:]:
+            last = vals[-1]
+            exponents = (0,) * (n - 1) + ((last,) if last is not INFINITY else ())
+        else:
+            exponents = local_profile(A, p).exponents
+        delta_vals = tuple(accumulate(exponents))
     r = len(exponents)
-    delta_vals = tuple(accumulate(exponents))
     f_vals = tuple(vals[:r])
     characterized = f_vals == delta_vals
 

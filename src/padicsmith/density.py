@@ -30,12 +30,13 @@ The representatives of one sorted diagonal are the unit of work: the
 walk tallies one diagonal after another, and with workers each diagonal
 is one task.
 
-One classifier serves every n; its agreement with the general machinery
-in classify.analyze is enforced by the test suite.  It reduces a matrix
-to a valuation signature, the valuations of the charpoly coefficients
-f_k and of the determinantal divisors, read from every k x k minor:
-one Laplace recurrence computes all C(2n, n) - 1 minors, each from the
-minors one size smaller, expanded along its last row.  The walk
+One classifier serves every n, and classify.analyze runs its kernel for
+n <= 4; the test suite holds both to Berkowitz and the integer Smith
+form.  It reduces a matrix to a valuation signature, the valuations of
+the charpoly coefficients f_k and of the determinantal divisors, read
+from every k x k minor: one Laplace recurrence computes all
+C(2n, n) - 1 minors, each from the minors one size smaller, expanded
+along its last row.  The walk
 classifies runs of matrices that share rows 0 .. n-2, the prefix, and
 differ in row n-1.  A minor off row n-1 depends on the prefix alone, so
 a run computes those minors once, with each prefix part of a principal
@@ -114,8 +115,9 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations, combinations_with_replacement, product
 from math import comb, factorial, gcd, prod
+from operator import sub
 
-from .exact import BudgetExceededError, UnsupportedSizeError, _det_rows, _require_prime, val_p
+from .exact import BudgetExceededError, UnsupportedSizeError, _det_rows, _require_prime, _val, val_p
 
 DEFAULT_BUDGET = 2**30
 
@@ -262,18 +264,19 @@ def _table_bound(q: int, n: int) -> int:
 
 
 class _LazyValuations(dict):
-    """val_p on demand, for a box whose table would pass _TABLE_LIMIT.
+    """val_p on demand, for a box whose table would pass _TABLE_LIMIT and
+    for classify.analyze, whose entries are unbounded.
 
     Nothing is stored, so memory stays flat however many values a walk
-    looks up.
+    looks up.  p must be prime; the caller checks it.
     """
 
     def __init__(self, p: int):
-        super().__init__({0: _VAL_OF_ZERO})
+        self[0] = _VAL_OF_ZERO
         self.p = p
 
     def __missing__(self, x: int) -> int:
-        return val_p(x, self.p)
+        return _val(x, self.p)  # x != 0: zero is stored
 
 
 @lru_cache(maxsize=16)
@@ -464,20 +467,30 @@ def _hodge_test(fv: tuple[int, ...], dv: tuple[int, ...]) -> tuple[bool, bool]:
     return False, True
 
 
+def _smith_valuations(sig: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(Delta_1, ..., Delta_r) and the Smith exponents (e_1, ..., e_r) of a signature.
+
+    The rank r is the first k with Delta_k = _VAL_OF_ZERO, n if there is
+    none, and e_k = Delta_k - Delta_{k-1}.
+    """
+    n = len(sig) // 2
+    dv = sig[n:]
+    if _VAL_OF_ZERO in dv:
+        dv = dv[: dv.index(_VAL_OF_ZERO)]
+    return dv, tuple(map(sub, dv, (0,) + dv))
+
+
 @lru_cache(maxsize=4096)
 def _outcome(sig: tuple[int, ...]) -> tuple[bool, bool, tuple[int, ...]]:
     """(characterized, correspondent, partition_key) of a signature.
 
-    The rank r is the first k with Delta_k = _VAL_OF_ZERO, n if there is
-    none; f_k vanishes for every k > r, so only k <= r enters the Hodge
-    test.  A box has few distinct signatures, hence the memo.
+    f_k vanishes for every k beyond the rank r, so only k <= r enters the
+    Hodge test.  A box has few distinct signatures, hence the memo.
     """
-    n = len(sig) // 2
-    dv = sig[n:]
-    r = dv.index(_VAL_OF_ZERO) if _VAL_OF_ZERO in dv else n
-    fv, dv = sig[:r], dv[:r]
-    char, corr = _hodge_test(fv, dv)
-    return char, corr, (r,) + tuple(b - a for a, b in zip((0,) + dv, dv))
+    dv, exponents = _smith_valuations(sig)
+    r = len(dv)
+    char, corr = _hodge_test(sig[:r], dv)
+    return char, corr, (r,) + exponents
 
 
 def _det_filtered(key: tuple[int, ...], n: int, m: int) -> bool:
@@ -496,16 +509,22 @@ def classify_residue_matrix(
     Returns (characterized, correspondent, partition_key, det_filtered).
     The key is (rank, e_1, ..., e_rank), identifying the Smith form
     localized at p; det_filtered flags val_p(det) < m.  Semantics are
-    identical to classify.analyze; the test suite pins the two
-    implementations together.  Raises ValueError when an entry lies
-    outside [0, p^m) or rows is not n >= 1 rows of n entries,
+    identical to classify.analyze; the test suite holds both to
+    Berkowitz and the integer Smith form.  Raises ValueError when p is
+    not prime, rows is not n >= 1 rows of n entries, or an entry is not
+    an int (a bool included) or lies outside [0, p^m);
     UnsupportedSizeError when n > 6.
     """
+    _require_prime(p)
     n = len(rows)
     if n < 1 or any(len(row) != n for row in rows):
         raise ValueError(
             f"residue matrix must be n >= 1 rows of n entries each, got {[list(r) for r in rows]}"
         )
+    for row in rows:
+        for x in row:
+            if type(x) is not int:
+                raise ValueError(f"residue matrix entries must be int, got {x!r} in {[list(r) for r in rows]}")
     q = p**m
     if min(map(min, rows)) < 0 or max(map(max, rows)) >= q:
         raise ValueError(

@@ -12,8 +12,9 @@ Two routes, one per question:
   or splitting a power of p off the whole block, keeps the Smith form
   over Z_(p), whose exponents are the valuations at p of the invariant
   factors over Z.  The integer route is its test oracle.  analyze
-  calls local_profile only when the characteristic polynomial does not
-  pin the profile: n >= 2 and neither f_{n-1} nor f_n is a p-unit.
+  calls local_profile only for n >= 5, and only when the characteristic
+  polynomial does not pin the profile: neither f_{n-1} nor f_n is a
+  p-unit.
 """
 
 from __future__ import annotations

@@ -1,12 +1,17 @@
 from fractions import Fraction
+from unittest.mock import Mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from padicsmith import classify
-from padicsmith.classify import analyze
+from padicsmith.charpoly import char_poly
+from padicsmith.classify import ClassificationReport, analyze
 from padicsmith.exact import INFINITY, IntMatrix, val_p
+from padicsmith.newton import valuations_from_charpoly
 from padicsmith.smith import smith_form
+
+from conftest import SKEWED
 
 
 def square(n, lo, hi):
@@ -130,32 +135,53 @@ def assert_matches_integer_smith(rep, A, p):
     assert rep.delta_vals == tuple(val_p(d, p) for d in s.dets)
 
 
+def _plus_identity(rows, k):
+    """The block diagonal matrix rows (+) I_k."""
+    a = len(rows)
+    return [list(r) + [0] * k for r in rows] + [[0] * a + [int(i == j) for j in range(k)] for i in range(k)]
+
+
 # (rows, p, profile, local_profile calls): one case per way analyze
-# reaches the Smith profile
+# reaches the Smith profile.  n <= 4 reads it off the signature kernel;
+# n = 5 values the charpoly and pins the profile when f_4 or f_5 is a
+# unit, and runs local_profile otherwise.
 PROFILE_ROUTES = [
-    ([[2, 1], [1, 1]], 2, (0, 0), 0),  # unit det
-    ([[1, 0, 0], [0, 1, 0], [0, 0, 8]], 2, (0, 0, 3), 0),  # unit f_2, v(det) = 3
-    ([[1, 1], [-9, 0]], 3, (0, 2), 0),  # unit f_1, v(det) = 2
-    ([[1, 0], [0, 0]], 5, (0,), 0),  # unit f_1, det = 0
-    ([[1, 2, 3], [4, 5, 6], [7, 8, 9]], 5, (0, 0), 0),  # unit f_2, det = 0
+    (_plus_identity([[2, 1], [1, 1]], 3), 2, (0,) * 5, 0),  # unit det
+    (_plus_identity([[8]], 4), 2, (0, 0, 0, 0, 3), 0),  # unit f_4, v(det) = 3
+    (_plus_identity([[1, 1], [-9, 0]], 3), 3, (0, 0, 0, 0, 2), 0),  # unit f_4, v(det) = 2
+    (_plus_identity([[0]], 4), 5, (0,) * 4, 0),  # unit f_4, det = 0
+    (_plus_identity([[1, 2, 3], [4, 5, 6], [7, 8, 9]], 2), 5, (0,) * 4, 0),  # unit f_4, det = 0
     ([[0]], 2, (), 0),  # n = 1, f_1 = 0
     ([[5]], 2, (0,), 0),  # n = 1, unit
     ([[-27]], 3, (3,), 0),  # n = 1, p^3
-    ([[2, 0], [0, 2]], 2, (1, 1), 1),  # p * I: no unit f_{n-1} or f_n
-    ([[0, 1], [0, 0]], 2, (0,), 1),  # nilpotent: f_1 = f_2 = 0
+    ([[2 * int(i == j) for j in range(5)] for i in range(5)], 2, (1,) * 5, 1),  # p * I: no unit f_4 or f_5
+    ([[int(j == i + 1) for j in range(5)] for i in range(5)], 2, (0,) * 4, 1),  # nilpotent: every f_k = 0
+    # n <= 4, the kernel alone: the pinned shapes above, and those that
+    # n = 5 sends to local_profile
+    ([[2, 1], [1, 1]], 2, (0, 0), 0),
+    ([[1, 0, 0], [0, 1, 0], [0, 0, 8]], 2, (0, 0, 3), 0),
+    ([[1, 1], [-9, 0]], 3, (0, 2), 0),
+    ([[1, 0], [0, 0]], 5, (0,), 0),
+    ([[1, 2, 3], [4, 5, 6], [7, 8, 9]], 5, (0, 0), 0),
+    ([[2, 0], [0, 2]], 2, (1, 1), 0),
+    ([[0, 1], [0, 0]], 2, (0,), 0),
+    ([[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [0, 0, 0, 0]], 3, (0, 0, 0), 0),
+    (SKEWED, 2, (0, 1, 1, 2), 0),
+    ([[2 * int(i == j) for j in range(4)] for i in range(4)], 2, (1,) * 4, 0),
 ]
 
 
 @pytest.mark.parametrize("rows, p, profile, calls", PROFILE_ROUTES)
 def test_profile_routes_match_integer_smith_form(monkeypatch, rows, p, profile, calls):
-    counted = []
-    real = classify.local_profile
-    monkeypatch.setattr(classify, "local_profile", lambda A, p: counted.append(p) or real(A, p))
+    spies = {name: Mock(wraps=getattr(classify, name)) for name in ("char_poly", "local_profile")}
+    for name, spy in spies.items():
+        monkeypatch.setattr(classify, name, spy)
     A = IntMatrix.from_rows(rows)
     rep = analyze(A, p)
     assert rep.profile == profile
     assert_matches_integer_smith(rep, A, p)
-    assert len(counted) == calls
+    # Berkowitz runs exactly past the kernel's sizes, local_profile only there
+    assert {name: spy.call_count for name, spy in spies.items()} == {"char_poly": int(A.n > 4), "local_profile": calls}
 
 
 @settings(max_examples=200)
@@ -170,6 +196,54 @@ def test_profile_routes_match_integer_smith_form(monkeypatch, rows, p, profile, 
     st.sampled_from([2, 3, 5, 7]),
 )
 def test_profile_matches_integer_smith_form(entries, p):
-    """Entries c * p^k, so that both the pinned and the eliminated routes run."""
+    """Entries c * p^k, so that at n = 5 both the pinned and the eliminated
+    routes run, and at n <= 4 the kernel meets high valuations."""
     A = IntMatrix.from_rows([[c * p**k for c, k in row] for row in entries])
     assert_matches_integer_smith(analyze(A, p), A, p)
+
+
+@st.composite
+def valued_matrices(draw):
+    """(A, p) with n = 1..5 and entries c * p^k: dense, of lower rank,
+    traceless (f_1 = 0) or strictly upper triangular (every f_k = 0)."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    n = draw(st.integers(min_value=1, max_value=5))
+    entry = st.builds(lambda c, k: c * p**k, st.integers(-9, 9), st.integers(0, 3))
+    kind = draw(st.sampled_from(["dense", "lower rank", "traceless", "nilpotent"]))
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    if kind == "lower rank":
+        r = draw(st.integers(min_value=0, max_value=n - 1))
+        coeffs = draw(st.lists(st.lists(st.integers(-3, 3), min_size=r, max_size=r), min_size=n, max_size=n))
+        rows = [[sum(c * rows[t][j] for t, c in enumerate(cs)) for j in range(n)] for cs in coeffs]
+    elif kind == "traceless":
+        rows[-1][-1] = -sum(rows[i][i] for i in range(n - 1))
+    elif kind == "nilpotent":
+        rows = [[x if j > i else 0 for j, x in enumerate(row)] for i, row in enumerate(rows)]
+    return IntMatrix.from_rows(rows), p
+
+
+@settings(max_examples=400, deadline=None)
+@given(valued_matrices())
+def test_analyze_matches_berkowitz_and_integer_smith_form(case):
+    """Every field of the report, on both sides of the kernel's cut-over,
+    from Berkowitz and the integer Smith form."""
+    A, p = case
+    f = char_poly(A)
+    vals = tuple(val_p(c, p) for c in f.coeffs)
+    s = smith_form(A)
+    profile = tuple(val_p(d, p) for d in s.invariant_factors)
+    delta_vals = tuple(val_p(d, p) for d in s.dets)
+    eig = valuations_from_charpoly(f, p)
+    r = s.rank
+    assert analyze(A, p) == ClassificationReport(
+        p=p,
+        n=A.n,
+        rank=r,
+        f_vals=vals[:r],
+        delta_vals=delta_vals,
+        profile=profile,
+        eig_vals=eig,
+        p_characterized=vals[:r] == delta_vals,
+        p_correspondent=eig.values == profile,
+        degenerate=len(eig.values) < r,
+    )

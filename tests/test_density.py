@@ -8,7 +8,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from padicsmith.classify import analyze
+from padicsmith.charpoly import char_poly
 from padicsmith.density import (
     Convention,
     DensityRow,
@@ -21,7 +21,8 @@ from padicsmith.density import (
     round_half_up_2dec,
 )
 from padicsmith.exact import BudgetExceededError, IntMatrix, UnsupportedSizeError, det, rem_pm, val_p
-from padicsmith.smith import local_profile
+from padicsmith.newton import valuations_from_charpoly
+from padicsmith.smith import local_profile, smith_form
 
 
 def test_rounding_renders_two_decimals():
@@ -272,15 +273,21 @@ def test_enumerate_density_refuses_n_past_six_before_starting_workers(monkeypatc
 
 
 def _analyze_outcome(rows, p, m):
-    """classify_residue_matrix's result, from classify.analyze."""
+    """classify_residue_matrix's result as classify.analyze defines it, from
+    Berkowitz and the integer Smith form rather than the signature kernel
+    that both of them run for n <= 4."""
     A = IntMatrix.from_rows(rows)
-    rep = analyze(A, p)
-    in_filter = rep.rank == len(rows) and val_p(det(A), p) < m
-    return rep.p_characterized, rep.p_correspondent, (rep.rank,) + rep.profile, in_filter
+    f = char_poly(A)
+    s = smith_form(A)
+    profile = tuple(val_p(d, p) for d in s.invariant_factors)
+    characterized = tuple(val_p(c, p) for c in f.coeffs[: s.rank]) == tuple(val_p(d, p) for d in s.dets)
+    correspondent = valuations_from_charpoly(f, p).values == profile
+    in_filter = s.rank == len(rows) and val_p(det(A), p) < m
+    return characterized, correspondent, (s.rank,) + profile, in_filter
 
 
 def test_fast_classifier_matches_analyze_exhaustively():
-    # the n=3 boxes pin the Hodge-vertex test to analyze's Newton polygon
+    # the n=3 boxes pin the Hodge-vertex test to the Newton polygon of the charpoly
     for p, m, n in [(2, 1, 2), (3, 1, 2), (2, 1, 3), (3, 1, 3)]:
         q = p**m
         for flat in product(range(q), repeat=n * n):
@@ -299,6 +306,12 @@ def test_classifier_rejects_entries_outside_the_box():
     for rows in ([], [[0, 1]], [[0, 1], [1]]):
         with pytest.raises(ValueError, match="n >= 1 rows of n entries each"):
             classify_residue_matrix(rows, 2, 1)
+    for p in (1, 0, 4, 2.0):
+        with pytest.raises(ValueError, match="p must be prime"):
+            classify_residue_matrix([[0, 0], [0, 0]], p, 3)
+    for bad in (True, 0.5, "a", None):
+        with pytest.raises(ValueError, match=f"entries must be int, got {bad!r}"):
+            classify_residue_matrix([[bad, 1], [1, 1]], 2, 1)
 
 
 def test_classifier_past_the_table_limit_matches_analyze():
@@ -306,10 +319,7 @@ def test_classifier_past_the_table_limit_matches_analyze():
     p, m = 101, 3
     boxes = ([[101, 0], [0, 101**2]], [[1, 2], [3, 4]], [[0, 0], [0, 0]], [[202, 101], [101, 303]])
     for rows in boxes:
-        rep = analyze(IntMatrix.from_rows(rows), p)
-        in_filter = rep.rank == 2 and sum(rep.profile) < m
-        want = (rep.p_characterized, rep.p_correspondent, (rep.rank,) + rep.profile, in_filter)
-        assert classify_residue_matrix(rows, p, m) == want
+        assert classify_residue_matrix(rows, p, m) == _analyze_outcome(rows, p, m)
 
 
 @settings(max_examples=200, deadline=None)
