@@ -100,10 +100,10 @@ def analyze(A: MatrixLike, p: int) -> ClassificationReport:
     n = A.n
     if n <= _KERNEL_MAX_N:
         sig = _signatures(n)(A.rows[:-1], A.rows[-1:], _LazyValuations(p))[0]
-        vals = [INFINITY if v == _VAL_OF_ZERO else v for v in sig[:n]]
+        vals = tuple([INFINITY if v == _VAL_OF_ZERO else v for v in sig[:n]])
         delta_vals, exponents = _smith_valuations(sig)
     else:
-        vals = [_val(c, p) for c in char_poly(A).coeffs]
+        vals = tuple([_val(c, p) for c in char_poly(A).coeffs])
         if 0 in vals[-2:]:
             last = vals[-1]
             exponents = (0,) * (n - 1) + ((last,) if last is not INFINITY else ())
@@ -111,7 +111,7 @@ def analyze(A: MatrixLike, p: int) -> ClassificationReport:
             exponents = local_profile(A, p).exponents
         delta_vals = tuple(accumulate(exponents))
     r = len(exponents)
-    f_vals = tuple(vals[:r])
+    f_vals = vals[:r]
     characterized = f_vals == delta_vals
 
     eig = _eigenvalue_valuations(vals, p)

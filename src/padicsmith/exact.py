@@ -27,20 +27,40 @@ class BudgetExceededError(RuntimeError):
     """An exhaustive enumeration would exceed its work budget."""
 
 
-@lru_cache(maxsize=None)
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+#: The least composite that passes Miller-Rabin to every base above
+#: (Sorenson and Webster, 2015), so the test is exact below it.
+_PRIME_LIMIT = 3317044064679887385961981
+
+
+@lru_cache(maxsize=256)
 def is_prime(p: int) -> bool:
-    """Deterministic primality by trial division (desk-scale inputs)."""
+    """Deterministic primality by Miller-Rabin on the bases 2, ..., 41.
+
+    Exact below _PRIME_LIMIT (about 3.3e24); raises ValueError at or
+    above it rather than guess.
+    """
+    if p >= _PRIME_LIMIT:
+        raise ValueError(f"primality is decided only below {_PRIME_LIMIT}, got {p}")
     if p < 2:
         return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    for a in _MILLER_RABIN_BASES:
+        if p % a == 0:
+            return p == a
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MILLER_RABIN_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 

@@ -8,12 +8,19 @@ is the valuation multiset of the nonzero eigenvalues.
 
 All hull geometry runs on integer cross products; slopes come out as
 exact Fractions.
+
+The eigenvalue valuations depend only on p and the vector
+(val_p(f_1), ..., val_p(f_n)), and a workload sees few distinct vectors,
+so they are built once per vector and p in a process, in a memo bounded
+at 1024 entries.  The memo holds only frozen results; every caller still
+compares them against its own matrix's data.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .charpoly import CharPoly, char_poly
 from .exact import INFINITY, MatrixLike, Valuation, _require_prime, _val
@@ -117,13 +124,15 @@ class EigenvalueValuations:
         }
 
 
-def _eigenvalue_valuations(vals: list[Valuation], p: int) -> EigenvalueValuations:
+@lru_cache(maxsize=1024)
+def _eigenvalue_valuations(vals: tuple[Valuation, ...], p: int) -> EigenvalueValuations:
     """Eigenvalue valuations from the valuations of f_1, ..., f_n.
 
-    vals holds INFINITY for a zero coefficient.  The hull is the one
-    newton_polygon builds, over (0, 0) and the points of the nonzero
-    coefficients, so it ends at the last nonzero coefficient r'; the
-    other n - r' eigenvalues are exactly zero.
+    vals is a tuple, the memo key, and holds INFINITY for a zero
+    coefficient; p must be prime, which the caller checks.  The hull is
+    the one newton_polygon builds, over (0, 0) and the points of the
+    nonzero coefficients, so it ends at the last nonzero coefficient r';
+    the other n - r' eigenvalues are exactly zero.
     """
     points = [(0, 0)]
     points += [(i, v) for i, v in enumerate(vals, 1) if v is not INFINITY]
@@ -144,7 +153,7 @@ def valuations_from_charpoly(f: CharPoly, p: int) -> EigenvalueValuations:
     nonzero eigenvalues.
     """
     _require_prime(p)
-    return _eigenvalue_valuations([_val(c, p) for c in f.coeffs], p)
+    return _eigenvalue_valuations(tuple([_val(c, p) for c in f.coeffs]), p)
 
 
 def eigenvalue_valuations(A: MatrixLike, p: int) -> EigenvalueValuations:

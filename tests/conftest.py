@@ -2,7 +2,17 @@
 
 import pytest
 
+from padicsmith import density, exact, newton
 from padicsmith.exact import IntMatrix
+
+
+@pytest.fixture(autouse=True)
+def _clear_memos():
+    """Start every test with empty package memos, so a test that patches
+    Newton, hull or primality internals never sees an earlier test's
+    cached result, whatever the test order."""
+    for memo in (newton._eigenvalue_valuations, density._outcome, exact.is_prime):
+        memo.cache_clear()
 
 # 3x3 with Smith form diag(1, 3, 9); 3-adically both predicates hold.
 TRIDENT = [[3, -1, 3], [9, -10, 0], [3, 0, 3]]

@@ -1,4 +1,6 @@
+import re
 from fractions import Fraction
+from functools import lru_cache
 from unittest.mock import Mock
 
 import pytest
@@ -8,7 +10,7 @@ from padicsmith import classify
 from padicsmith.charpoly import char_poly
 from padicsmith.classify import ClassificationReport, analyze
 from padicsmith.exact import INFINITY, IntMatrix, val_p
-from padicsmith.newton import valuations_from_charpoly
+from padicsmith.newton import EigenvalueValuations, valuations_from_charpoly
 from padicsmith.smith import smith_form
 
 from conftest import SKEWED
@@ -97,6 +99,35 @@ def test_report_json_round_trips(trident):
 def test_analyze_rejects_non_prime(hepta, p):
     with pytest.raises(ValueError, match="p must be prime"):
         analyze(hepta, p)
+
+
+@pytest.mark.parametrize(
+    "diagonal, twin",
+    [
+        # n = 3, the signature kernel route
+        ((1, 3, 9), (2, 3, 9)),
+        # n = 5, the Berkowitz route through local_profile
+        ((1, 3, 9, 27, 81), (2, 3, 9, 27, 81)),
+    ],
+)
+def test_memoized_newton_result_cannot_hide_a_counterexample(monkeypatch, diagonal, twin):
+    """Each pair is 3-characterized with one coefficient-valuation vector.
+    A wrong Newton result served from a memo must still raise, naming
+    the matrix, for the second matrix as for the first."""
+    matrices = [IntMatrix.diagonal(diagonal), IntMatrix.diagonal(twin)]
+    reports = [analyze(A, 3) for A in matrices]
+    assert all(rep.p_characterized for rep in reports)
+    assert reports[0].f_vals == reports[1].f_vals
+
+    @lru_cache(maxsize=None)
+    def wrong(vals, p):
+        return EigenvalueValuations(p=p, values=(Fraction(1),) * len(vals), zero_count=0)
+
+    monkeypatch.setattr(classify, "_eigenvalue_valuations", wrong)
+    for A in matrices:
+        with pytest.raises(AssertionError, match=re.escape(str(A.rows))):
+            analyze(A, 3)
+    assert wrong.cache_info().hits == 1
 
 
 @settings(max_examples=250)

@@ -11,7 +11,7 @@ import pytest
 
 import padicsmith
 from padicsmith.cli import main
-from padicsmith.exact import IntMatrix
+from padicsmith.exact import _PRIME_LIMIT, IntMatrix
 
 from conftest import CONVEXED, HEPTA, SKEWED, TRIDENT
 
@@ -165,6 +165,16 @@ def test_analyze_errors_exit_two(tmp_path, capsys):
     assert main(["analyze", ok, "-p", "4"]) == 2
     err = capsys.readouterr().err
     assert "error:" in err
+
+
+def test_analyze_decides_a_large_prime_and_refuses_past_the_limit(tmp_path, capsys):
+    ok = write_matrix(tmp_path, TRIDENT)
+    assert main(["analyze", ok, "-p", "1000000000000000003"]) == 0
+    assert "p = 1000000000000000003, n = 3, rank = 3" in capsys.readouterr().out
+    assert main(["analyze", ok, "-p", str(_PRIME_LIMIT)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: primality is decided only below {_PRIME_LIMIT}, got {_PRIME_LIMIT}\n"
 
 
 def test_density_csv_golden(capsys):

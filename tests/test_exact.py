@@ -1,12 +1,15 @@
 import json
 import pickle
 import sys
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from padicsmith import exact
 from padicsmith.exact import (
+    _PRIME_LIMIT,
     INFINITY,
     IntMatrix,
     MatrixParseError,
@@ -88,6 +91,48 @@ def test_is_prime_small():
     assert [q for q in range(2, 30) if is_prime(q)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert not is_prime(1)
     assert is_prime(97)
+
+
+def _trial_division(q):
+    if q < 2:
+        return False
+    d = 2
+    while d * d <= q:
+        if q % d == 0:
+            return False
+        d += 1
+    return True
+
+
+def test_is_prime_matches_trial_division_below_1e5():
+    assert [q for q in range(-3, 10**5) if is_prime(q)] == [
+        q for q in range(-3, 10**5) if _trial_division(q)
+    ]
+
+
+def test_is_prime_rejects_strong_pseudoprimes():
+    assert not is_prime(2047)  # 23 * 89, a strong pseudoprime to base 2
+    assert not is_prime(3215031751)  # 151 * 751 * 28351, to bases 2, 3, 5 and 7
+
+
+def test_is_prime_decides_an_18_digit_prime_quickly():
+    start = time.perf_counter()
+    assert is_prime(10**18 + 3)
+    assert not is_prime(10**18 + 1)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_is_prime_refuses_at_its_limit(monkeypatch):
+    assert not is_prime(_PRIME_LIMIT - 1)
+    with pytest.raises(ValueError, match=str(_PRIME_LIMIT)):
+        is_prime(_PRIME_LIMIT)
+    with pytest.raises(ValueError, match=str(_PRIME_LIMIT)):
+        val_p(5, 2**89 - 1)  # a Mersenne prime past the limit
+    # the limit is tight: it is composite, yet passes every base
+    assert _PRIME_LIMIT == 1287836182261 * 2575672364521
+    monkeypatch.setattr(exact, "_PRIME_LIMIT", _PRIME_LIMIT + 1)
+    assert is_prime.__wrapped__(_PRIME_LIMIT)
+    assert is_prime.cache_info().maxsize is not None
 
 
 def test_from_rows_validation():

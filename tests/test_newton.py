@@ -5,10 +5,11 @@ from hypothesis import given, settings, strategies as st
 
 from padicsmith.charpoly import CharPoly, char_poly
 from padicsmith.classify import analyze
-from padicsmith.exact import IntMatrix, val_p
+from padicsmith.exact import INFINITY, IntMatrix, val_p
 from padicsmith.newton import (
     EmptyPolygonError,
     NewtonPolygon,
+    _eigenvalue_valuations,
     eigenvalue_valuations,
     newton_polygon,
     valuations_from_charpoly,
@@ -92,6 +93,8 @@ coeff = st.integers(min_value=-10**6, max_value=10**6)
 def test_hull_properties_on_random_polynomials(coeffs, p):
     f = CharPoly(len(coeffs), tuple(coeffs))
     vals = valuations_from_charpoly(f, p)
+    # a second call is a memo hit, the result held to newton_polygon below
+    assert valuations_from_charpoly(f, p) is vals
     assert len(vals.values) + vals.zero_count == f.n
     assert list(vals.values) == sorted(vals.values)
     # newton_polygon needs a nonzero constant term, so it gets f truncated
@@ -102,6 +105,24 @@ def test_hull_properties_on_random_polynomials(coeffs, p):
         hull = newton_polygon(CharPoly(r_prime, f.coeffs[:r_prime]), p)
         assert_lower_hull(hull)
         assert tuple(hull.slopes) == vals.values
+
+
+# a coefficient valuation: small ints, INFINITY for a zero coefficient
+valuation = st.integers(min_value=0, max_value=12) | st.just(INFINITY)
+
+
+@settings(max_examples=300)
+@given(st.lists(valuation, min_size=1, max_size=8).map(tuple), st.sampled_from([2, 3, 5, 7]))
+def test_memo_matches_the_unmemoized_hull(vals, p):
+    assert _eigenvalue_valuations.cache_info().maxsize is not None
+    first = _eigenvalue_valuations(vals, p)
+    assert first == _eigenvalue_valuations.__wrapped__(vals, p)
+    # a hit returns the same frozen result
+    assert _eigenvalue_valuations(vals, p) is first
+    # the prime is part of the key
+    other = 3 if p == 2 else 2
+    assert _eigenvalue_valuations(vals, other).p == other
+    assert first.p == p
 
 
 @settings(max_examples=100)
@@ -131,7 +152,7 @@ def test_matrix_route_consistent(rows, singular, p):
     A = IntMatrix.from_rows(rows)
     eig = eigenvalue_valuations(A, p)
     assert eig == valuations_from_charpoly(char_poly(A), p)
-    # analyze reads f_vals and the hull off one list of valuations; hold
+    # analyze reads f_vals and the hull off one tuple of valuations; hold
     # each to its public route
     rep = analyze(A, p)
     assert rep.eig_vals == eig
