@@ -88,12 +88,30 @@ off A0's own signature, and split the classes into strata:
   exact det, (n, 0, ..., 0, e) with e >= m or (n-1, 0, ..., 0) for 0.
   That x is a lift of the class's own entry because det A0 = 0 mod p and
   c is a unit.  adj(M) is computed once per lift of M and adj(M) u once
-  per lift of u.
+  per lift of u.  These counts are the same for every class in one
+  orbit under row and column permutations and transposition:
+  det(P (A0 + pB) Q) = +-det(A0 + pB), det is unchanged by
+  transposition, and each of these maps carries the lifts of A0 onto
+  the lifts of its image.  So they are computed once per orbit, for
+  its least image P A0 Q or P A0^T Q (_equivalence_key).  Characterized
+  and correspondent still come from each class's own signature: an
+  independent P and Q change the charpoly.
 - A0 = 0: the lifts are pB with B over [0, p^(m-1)).  Scaling by p adds
   1 to every Smith exponent and k to v(f_k), which keeps the Hodge test,
   so this class is the tally of cell (p, m-1, n) with each exponent
   raised by 1.
-- any other rank: every lift is classified by its signature.
+- any other rank: every lift is classified by its signature, once per
+  orbit under permutation similarity and transposition.
+  P (A0 + pB) P^T and its transpose carry the lifts of A0 onto those of
+  the image and keep f_k, Delta_k and the key of every lift, so the
+  counted outcomes of the lifts are those of the least image
+  P A0 P^T or P A0^T P^T (_similarity_key).
+
+Both memos are keyed on a permuted copy of the class, not a hash, and
+live for one _tally call: one sorted diagonal per pool task, so workers
+lose the reuse across diagonals that the serial walk gets.  At (2,2,3)
+the walk computes the lifts of 13 of its 105 rank 2 classes and of 9 of
+its 20 rank 1 classes, one per orbit.
 
 The det filter is read off the key, val_p(det) = e_1 + ... + e_n, so it
 need not be tallied separately.
@@ -113,9 +131,9 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, combinations, combinations_with_replacement, product
+from itertools import chain, combinations, combinations_with_replacement, permutations, product
 from math import comb, factorial, gcd, prod
-from operator import sub
+from operator import itemgetter, sub
 
 from .exact import BudgetExceededError, UnsupportedSizeError, _det_rows, _require_prime, _val, val_p
 
@@ -124,9 +142,13 @@ DEFAULT_BUDGET = 2**30
 # Fewest matrices classified one by one for which enumerate_density starts
 # workers.  Two workers take some 15-30 ms to start and merge (2 vCPUs,
 # CPython 3.11, one sorted diagonal per task).  They lose on every cell of
-# the density table, up to (2,2,3), which counts 98304 (22 ms serially,
-# 28-43 ms on two), and win from (5,1,3), which counts 328125 (230 ms
-# serially, 145-160 ms on two).
+# the density table, up to (2,2,3), which counts 98304 (14-19 ms serially,
+# 23-27 ms on two), and win from (5,1,3), which counts 328125 (240-255 ms
+# serially, 160-180 ms on two).  For m >= 2 the count takes every lift of
+# every class, far more than the walk classifies once per orbit, and a
+# task reuses lift work only within its own diagonal; the cells past the
+# threshold still win on two: (2,3,3) takes 3.41 s serially and 2.34 s on
+# two, (3,2,3) 1.84 s and 1.68 s (medians of 3 fresh processes).
 _POOL_MIN_ONE_BY_ONE = 2**17
 
 # gl_count checks the closed form against an exhaustive count up to this many matrices
@@ -644,6 +666,38 @@ def _corank_one_keys(cls, p: int, m: int, vt) -> Counter:
     return keys
 
 
+def _equivalence_key(cls) -> tuple[tuple[int, ...], ...]:
+    """The least P cls Q or P cls^T Q over permutation matrices P and Q, n >= 2.
+
+    For a fixed column order the least row order is the sorted one, so
+    the minimum runs over column orders of cls and of cls^T alone.
+    """
+    orders = [itemgetter(*order) for order in permutations(range(len(cls)))]
+    return min(tuple(sorted(map(order, a))) for a in (cls, tuple(zip(*cls))) for order in orders)
+
+
+def _similarity_key(cls) -> tuple[tuple[int, ...], ...]:
+    """The least P cls P^T or P cls^T P^T over permutation matrices P, n >= 2."""
+    orders = [itemgetter(*order) for order in permutations(range(len(cls)))]
+    return min(tuple(map(order, order(a))) for a in (cls, tuple(zip(*cls))) for order in orders)
+
+
+def _count_outcomes(tally: Counter, runs, weight: int, sigs, vt) -> None:
+    """Add the outcome (characterized, correspondent, partition_key) of
+    each matrix of a _walk to tally, weight times; each distinct
+    signature is decided once."""
+    counts = Counter(chain.from_iterable(sigs(prefix, lasts, vt) for prefix, lasts in runs))
+    for sig, count in counts.items():
+        tally[_outcome(sig)] += weight * count
+
+
+def _lift_outcomes(cls, p: int, m: int, sigs, vt) -> Counter:
+    """Outcomes of the p^((m-1) n^2) lifts of a class mod p, each classified."""
+    outcomes: Counter = Counter()
+    _count_outcomes(outcomes, _walk([[_lifts(row, p, m) for row in cls]]), 1, sigs, vt)
+    return outcomes
+
+
 def _tally(args: tuple[int, int, int, Iterable[tuple[int, ...]]]) -> Counter:
     """Tally the (p, 1, n) representatives with a sorted diagonal in diags.
 
@@ -652,29 +706,29 @@ def _tally(args: tuple[int, int, int, Iterable[tuple[int, ...]]]) -> Counter:
     representative is one matrix of the box and is classified itself.
     For m >= 2 it is a class A mod p whose p^((m-1) n^2) lifts are
     counted by the stratum of its rank mod p (see the module docstring);
-    only ranks 1 .. n-2 classify their lifts one by one.
+    only ranks 1 .. n-2 classify their lifts one by one.  The lift work
+    of ranks 1 .. n-1 runs once per orbit of the classes in diags.
     """
     p, m, n, diags = args
     sigs, vt = _signatures(n), _valuation_table(p, m, n)
     tally: Counter = Counter()
     blocks = chain.from_iterable(_blocks(p, n, diag) for diag in diags)
 
-    def count_block(runs, weight):
-        counts = Counter(chain.from_iterable(sigs(prefix, lasts, vt) for prefix, lasts in runs))
-        for sig, count in counts.items():
-            tally[_outcome(sig)] += weight * count
-
     if m == 1:
         for runs, weight in blocks:
-            count_block(runs, weight)
+            _count_outcomes(tally, runs, weight, sigs, vt)
         return tally
 
     vt1 = _valuation_table(p, 1, n)
     units = (0,) * (n - 1)
     class_size = p ** ((m - 1) * n * n)
+    # the per-lift work of each class, once per orbit of its stratum's symmetry
+    deep_keys: dict = {}  # by _equivalence_key: partition keys of the lifts
+    lift_outcomes: dict = {}  # by _similarity_key: outcomes of the lifts
     for runs, weight in blocks:
         for prefix, lasts in runs:
             for last, sig in zip(lasts, sigs(prefix, lasts, vt1)):
+                cls = (*prefix, last)
                 rank = sig[n:].count(0)  # Delta_k = 0 iff some k x k minor is a unit
                 char = sig[: n - 1] == units  # f_1 .. f_{n-1} units
                 if rank == n:
@@ -685,10 +739,17 @@ def _tally(args: tuple[int, int, int, Iterable[tuple[int, ...]]]) -> Counter:
                         tally[c, r, (k, *(e + 1 for e in exps))] += weight * w
                 elif rank == n - 1:
                     corr = sig[n - 2] == 0  # f_{n-1} a unit
-                    for key, w in _corank_one_keys((*prefix, last), p, m, vt).items():
+                    rep = _equivalence_key(cls)
+                    if rep not in deep_keys:
+                        deep_keys[rep] = _corank_one_keys(rep, p, m, vt)
+                    for key, w in deep_keys[rep].items():
                         tally[char, corr, key] += weight * w
                 else:
-                    count_block(_walk([[_lifts(row, p, m) for row in (*prefix, last)]]), weight)
+                    rep = _similarity_key(cls)
+                    if rep not in lift_outcomes:
+                        lift_outcomes[rep] = _lift_outcomes(rep, p, m, sigs, vt)
+                    for outcome, w in lift_outcomes[rep].items():
+                        tally[outcome] += weight * w
     return tally
 
 

@@ -1,8 +1,10 @@
+import hashlib
 import multiprocessing
+import random
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement, permutations, product
 from math import comb
 
 import pytest
@@ -161,9 +163,9 @@ def test_no_pool_when_every_class_is_counted_whole(monkeypatch):
 
 
 def test_no_pool_below_the_break_even(monkeypatch):
-    # (2,1,4) classifies 15360 representatives and (2,2,3) at most 98304
-    # lifts one by one; serially each takes tens of milliseconds, less
-    # than two workers take to start and merge
+    # (2,1,4) classifies 15360 representatives and (2,2,3) counts at most
+    # 98304 lifts one by one; serially they take some 25 ms and 15 ms, and
+    # two workers lose to that (2 vCPUs)
     def no_pool(*args, **kwargs):
         raise AssertionError("multiprocessing.Pool started")
 
@@ -381,23 +383,23 @@ def test_fast_classifier_matches_analyze_on_low_rank_prefixes(cell, rng):
             assert classify_residue_matrix(rows, p, m) == _analyze_outcome(rows, p, m)
 
 
-@pytest.mark.parametrize(
-    "p, m, cls",
-    [
-        # n = 2: pivots at (0, 0), (1, 0) and (1, 1)
-        (3, 3, [[1, 2], [2, 1]]),
-        (3, 3, [[0, 1], [0, 0]]),
-        (3, 3, [[2, 0], [0, 0]]),
-        # n = 3: a rank-1 block beside a unit, a nilpotent Jordan block and
-        # a dense class
-        (3, 2, [[1, 2, 0], [2, 1, 0], [0, 0, 1]]),
-        (3, 2, [[0, 1, 0], [0, 0, 1], [0, 0, 0]]),
-        (3, 2, [[1, 1, 2], [0, 2, 1], [1, 0, 0]]),
-        # n = 4, which no cell within DEFAULT_BUDGET reaches with m >= 2
-        (2, 2, [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [0, 0, 0, 0]]),
-        (2, 2, [[1, 1, 0, 1], [0, 1, 1, 0], [1, 0, 1, 1], [1, 1, 1, 0]]),
-    ],
-)
+CORANK_ONE_CLASSES = [
+    # n = 2: pivots at (0, 0), (1, 0) and (1, 1)
+    (3, 3, [[1, 2], [2, 1]]),
+    (3, 3, [[0, 1], [0, 0]]),
+    (3, 3, [[2, 0], [0, 0]]),
+    # n = 3: a rank-1 block beside a unit, a nilpotent Jordan block and
+    # a dense class
+    (3, 2, [[1, 2, 0], [2, 1, 0], [0, 0, 1]]),
+    (3, 2, [[0, 1, 0], [0, 0, 1], [0, 0, 0]]),
+    (3, 2, [[1, 1, 2], [0, 2, 1], [1, 0, 0]]),
+    # n = 4, which no cell within DEFAULT_BUDGET reaches with m >= 2
+    (2, 2, [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [0, 0, 0, 0]]),
+    (2, 2, [[1, 1, 0, 1], [0, 1, 1, 0], [1, 0, 1, 1], [1, 1, 1, 0]]),
+]
+
+
+@pytest.mark.parametrize("p, m, cls", CORANK_ONE_CLASSES)
 def test_corank_one_keys_match_every_lift(p, m, cls):
     import padicsmith.density as density
 
@@ -410,6 +412,122 @@ def test_corank_one_keys_match_every_lift(p, m, cls):
     )
     vt = density._valuation_table(p, m, n)
     assert density._corank_one_keys(tuple(map(tuple, cls)), p, m, vt) == want
+
+
+def _random_corank_one_classes():
+    """Three seeded classes mod p of rank n - 1 for each n = 2..4."""
+    rng = random.Random(21)
+    classes = []
+    for p, m, n in [(3, 3, 2), (3, 2, 3), (2, 2, 4)]:
+        found = 0
+        while found < 3:
+            cls = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
+            if classify_residue_matrix(cls, p, 1)[2][1:].count(0) == n - 1:
+                classes.append((p, m, cls))
+                found += 1
+    return classes
+
+
+def _permuted(rows, row_order, col_order):
+    """P rows Q: row i of the result is row row_order[i], column j column col_order[j]."""
+    return tuple(tuple(rows[i][j] for j in col_order) for i in row_order)
+
+
+def _transposed(rows):
+    return tuple(zip(*rows))
+
+
+@pytest.mark.parametrize("p, m, cls", CORANK_ONE_CLASSES + _random_corank_one_classes())
+def test_corank_one_keys_are_constant_on_equivalence_orbits(p, m, cls):
+    # The lemma behind the walk's memo of the rank n - 1 stratum:
+    # det(P (A + pB) Q) = +-det(A + pB), det is unchanged by transposition,
+    # and both maps carry the lifts of a class onto the lifts of its image,
+    # so the v(det) counts over the lifts agree.
+    import padicsmith.density as density
+
+    n = len(cls)
+    rng = random.Random(repr(cls))
+    vt = density._valuation_table(p, m, n)
+    want = density._corank_one_keys(tuple(map(tuple, cls)), p, m, vt)
+    row_order, col_order = rng.sample(range(n), n), rng.sample(range(n), n)
+    for image in (_permuted(cls, row_order, col_order), _transposed(cls)):
+        assert density._corank_one_keys(image, p, m, vt) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.randoms(use_true_random=False), st.sampled_from([2, 3, 4]), st.sampled_from([2, 3]))
+def test_orbit_keys_are_permuted_copies_constant_on_orbits(rng, n, p):
+    import padicsmith.density as density
+
+    cls = tuple(tuple(rng.randrange(p) for _ in range(n)) for _ in range(n))
+    orders = list(permutations(range(n)))
+
+    key = density._equivalence_key(cls)
+    assert key in {_permuted(a, r, c) for a in (cls, _transposed(cls)) for r in orders for c in orders}
+    image = _permuted(cls, rng.choice(orders), rng.choice(orders))
+    assert density._equivalence_key(image) == density._equivalence_key(_transposed(cls)) == key
+
+    key = density._similarity_key(cls)
+    assert key in {_permuted(a, o, o) for a in (cls, _transposed(cls)) for o in orders}
+    o = rng.choice(orders)
+    assert density._similarity_key(_permuted(cls, o, o)) == density._similarity_key(_transposed(cls)) == key
+
+
+def test_each_per_lift_class_runs_once_per_orbit(monkeypatch):
+    # (2,2,3) walks 105 classes of rank 2 mod 2 and 20 of rank 1.  The
+    # lifts of a rank 2 class are counted once per orbit under row and
+    # column permutations and transposition, and those of a rank 1 class
+    # once per orbit under permutation similarity and transposition; the
+    # orbits are counted here by listing every image.
+    import padicsmith.density as density
+
+    p, n = 2, 3
+    walked = {1: [], 2: []}
+    for flat in product(range(p), repeat=n * n):
+        cls = tuple(flat[i * n : (i + 1) * n] for i in range(n))
+        rank = classify_residue_matrix(cls, p, 1)[2][1:].count(0)
+        if rank in walked and list(flat[:: n + 1]) == sorted(flat[:: n + 1]) and cls[0][1] <= cls[1][0]:
+            walked[rank].append(cls)
+    orders = list(permutations(range(n)))
+    equivalence = {
+        frozenset(_permuted(a, r, c) for a in (cls, _transposed(cls)) for r in orders for c in orders)
+        for cls in walked[2]
+    }
+    similarity = {
+        frozenset(_permuted(a, o, o) for a in (cls, _transposed(cls)) for o in orders) for cls in walked[1]
+    }
+    assert (len(walked[2]), len(equivalence), len(walked[1]), len(similarity)) == (105, 13, 20, 9)
+
+    want = enumerate_density(p, 2, n)
+    calls = Counter()
+
+    def counted(name):
+        inner = getattr(density, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return inner(*args)
+
+        return wrapper
+
+    for name in ("_corank_one_keys", "_lift_outcomes"):
+        monkeypatch.setattr(density, name, counted(name))
+    assert enumerate_density(p, 2, n) == want
+    assert calls == {"_corank_one_keys": len(equivalence), "_lift_outcomes": len(similarity)}
+
+
+def test_three_adic_n3_cell_with_two_digit_lifts():
+    # Beyond brute force (3^18 matrices); at p = 3 the rank 2 orbits span
+    # several sorted diagonals, so the serial walk reuses their lift counts
+    # across diagonals.  The digest is the sha256 of the sorted partition
+    # classes, (key, size, char_count) each.
+    row = enumerate_density(3, 2, 3)
+    assert row.csv_row() == "3,2,3,45.25,86.67,40.15,387420489,175310185,335777317"
+    assert len(row.partitions) == 25
+    canon = repr(sorted((key, cell.size, cell.char_count) for key, cell in row.partitions.items()))
+    assert hashlib.sha256(canon.encode()).hexdigest() == (
+        "f6a724c1347bf887b345bdd27205344658f3720bf49d48471049f798fb046300"
+    )
 
 
 def test_gl_order_closed_form():
