@@ -10,7 +10,7 @@ Both valuation vectors come from minors: f_k is a signed sum of the
 principal k x k minors, and Delta_k, the valuation of the k-th
 determinantal divisor, is the least valuation of a k x k minor.  For
 n <= 4 analyze reads v(f_1..f_n) and Delta_1..Delta_n from one call of
-the density engine's compiled signature kernel, which computes every
+the compiled signature kernel (padicsmith.kernel), which computes every
 minor once.
 
 For n >= 5 the coefficients come from Berkowitz.  Delta_k <= v(f_k)
@@ -20,6 +20,9 @@ characteristic polynomial alone: the last exponent is v(f_n) when
 f_n != 0, and the rank is n - 1 when f_n = 0.  analyze reads the profile
 off the charpoly in that case and runs the local elimination only for
 the rest.
+
+Both routes, and the density engine for each signature it classifies,
+decide the two predicates and check the theorem in _predicates.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 from .charpoly import char_poly
-from .density import _VAL_OF_ZERO, _LazyValuations, _signatures, _smith_valuations
 from .exact import (
     INFINITY,
     MatrixLike,
@@ -38,6 +40,7 @@ from .exact import (
     _val,
     valuation_to_json,
 )
+from .kernel import _LazyValuations, _signature_valuations, _signatures
 from .newton import EigenvalueValuations, _eigenvalue_valuations
 from .smith import local_profile
 
@@ -89,19 +92,17 @@ def analyze(A: MatrixLike, p: int) -> ClassificationReport:
 
     For n <= _KERNEL_MAX_N one signature kernel call gives v(f_k) and
     Delta_k for every k, and the rank and exponents are read off the
-    Delta_k as the density engine reads them.  For larger n the charpoly
-    is valued first.  When f_{n-1} or f_n is a p-unit, Delta_k <= v(f_k)
-    pins the Smith profile to (0, ..., 0, v(f_n)), or to n - 1 zeros when
-    f_n = 0; only the other matrices go through local_profile's
-    elimination.
+    Delta_k.  For larger n the charpoly is valued first.  When f_{n-1} or
+    f_n is a p-unit, Delta_k <= v(f_k) pins the Smith profile to
+    (0, ..., 0, v(f_n)), or to n - 1 zeros when f_n = 0; only the other
+    matrices go through local_profile's elimination.
     """
     _require_prime(p)  # before _val, which never returns for p = 1
     A = _as_matrix(A)
     n = A.n
     if n <= _KERNEL_MAX_N:
         sig = _signatures(n)(A.rows[:-1], A.rows[-1:], _LazyValuations(p))[0]
-        vals = tuple([INFINITY if v == _VAL_OF_ZERO else v for v in sig[:n]])
-        delta_vals, exponents = _smith_valuations(sig)
+        vals, exponents = _signature_valuations(sig)
     else:
         vals = tuple([_val(c, p) for c in char_poly(A).coeffs])
         if 0 in vals[-2:]:
@@ -109,32 +110,42 @@ def analyze(A: MatrixLike, p: int) -> ClassificationReport:
             exponents = (0,) * (n - 1) + ((last,) if last is not INFINITY else ())
         else:
             exponents = local_profile(A, p).exponents
-        delta_vals = tuple(accumulate(exponents))
+    delta_vals, eig, characterized, correspondent = _predicates(vals, exponents, p, A.rows)
     r = len(exponents)
-    f_vals = vals[:r]
-    characterized = f_vals == delta_vals
-
-    eig = _eigenvalue_valuations(vals, p)
-    degenerate = len(eig.values) < r
-    # Fraction == int is exact; both sides are () at rank 0, and their
-    # lengths differ when degenerate
-    correspondent = eig.values == exponents
-
-    if characterized and not correspondent:
-        raise AssertionError(
-            "characterized-but-not-correspondent matrix encountered; "
-            f"this contradicts the implication the package is built on: {A.rows}"
-        )
-
     return ClassificationReport(
         p=p,
         n=n,
         rank=r,
-        f_vals=f_vals,
+        f_vals=vals[:r],
         delta_vals=delta_vals,
         profile=exponents,
         eig_vals=eig,
         p_characterized=characterized,
         p_correspondent=correspondent,
-        degenerate=degenerate,
+        degenerate=len(eig.values) < r,
     )
+
+
+def _predicates(
+    vals: tuple[Valuation, ...], exponents: tuple[int, ...], p: int, source: object
+) -> tuple[tuple[int, ...], EigenvalueValuations, bool, bool]:
+    """(Delta_1..Delta_r, eigenvalue valuations, characterized, correspondent).
+
+    vals holds v(f_1), ..., v(f_n), INFINITY for a zero coefficient, and
+    exponents the Smith exponents e_1 <= ... <= e_r at p.  The Newton hull
+    comes from vals alone and Delta_k = e_1 + ... + e_k from the exponents
+    alone, so characterized implies correspondent is a real check: a
+    violation raises AssertionError naming source, the caller's input.
+    """
+    delta_vals = tuple(accumulate(exponents))
+    characterized = vals[: len(exponents)] == delta_vals
+    eig = _eigenvalue_valuations(vals, p)
+    # Fraction == int is exact; both sides are () at rank 0, and their
+    # lengths differ when degenerate
+    correspondent = eig.values == exponents
+    if characterized and not correspondent:
+        raise AssertionError(
+            "characterized-but-not-correspondent matrix encountered; "
+            f"this contradicts the implication the package is built on: {source}"
+        )
+    return delta_vals, eig, characterized, correspondent

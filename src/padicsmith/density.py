@@ -30,38 +30,20 @@ The representatives of one sorted diagonal are the unit of work: the
 walk tallies one diagonal after another, and with workers each diagonal
 is one task.
 
-One classifier serves every n, and classify.analyze runs its kernel for
-n <= 4; the test suite holds both to Berkowitz and the integer Smith
-form.  It reduces a matrix to a valuation signature, the valuations of
-the charpoly coefficients f_k and of the determinantal divisors, read
-from every k x k minor: one Laplace recurrence computes all
-C(2n, n) - 1 minors, each from the minors one size smaller, expanded
-along its last row.  The walk
-classifies runs of matrices that share rows 0 .. n-2, the prefix, and
-differ in row n-1.  A minor off row n-1 depends on the prefix alone, so
-a run computes those minors once, with each prefix part of a principal
-sum and the gcd of the prefix k x k minors.  Per last row only the
-minors on row n-1 remain.  Delta_k, the least valuation of a k x k
-minor, is the valuation of gcd(prefix gcd, their k x k minors), since
-v_p(gcd) = min v_p.  A minor on row n-1 expands along that row into
-prefix minors and enters no larger minor, so it is a leaf: the
-principal ones feed f_k, the others only the gcd for Delta_k.  When the
-prefix gcd is a unit, Delta_k = 0 without them, and they are not
-computed.  This batched classifier is generated as straight-line source
-and compiled once per n, because the same steps run as loops in Python
-are several times slower per matrix.  Valuations come from a per-cell
-table.  A box has few distinct signatures, so the outcome of each is
-decided once, without building a Newton polygon.  With the Smith exponents
-e_1 <= ... <= e_r and Delta_k = e_1 + ... + e_k, the valuation of the
-k-th determinantal divisor, each coefficient f_k of the
-characteristic polynomial is a signed sum of principal k x k minors, so
-val_p(f_k) >= Delta_k: the Newton polygon lies on or above the Hodge
-polygon through (k, Delta_k) (Mazur's inequality), and both span
-0 <= x <= r.  The lower convex hull of points on or above a convex
-polygon equals that polygon exactly when the points include each of its
-vertices.  So the matrix is correspondent exactly when val_p(f_r) =
-Delta_r and val_p(f_k) = Delta_k at every k < r with e_k < e_{k+1}, and
-characterized when that holds at every k.
+Each matrix classified one by one is reduced to its valuation signature
+by the minor kernel (padicsmith.kernel).  A box has few distinct
+signatures, and each is decided once by classify._predicates, the rule
+analyze runs, so the theorem is checked on each of them.
+
+The m >= 2 strata counted whole (below) rest on Mazur's inequality
+instead.  With the Smith exponents e_1 <= ... <= e_r and Delta_k =
+e_1 + ... + e_k, each f_k sums principal k x k minors, so v(f_k) >=
+Delta_k: the Newton polygon lies on or above the Hodge polygon through
+(k, Delta_k), and both span 0 <= x <= r.  The lower convex hull of
+points on or above a convex polygon equals it exactly when the points
+include each of its vertices.  So a matrix is correspondent exactly
+when v(f_r) = Delta_r and v(f_k) = Delta_k at every k < r with
+e_k < e_{k+1}, and characterized when that holds at every k.
 
 For m >= 2 the walk runs over residue classes, not matrices.  The
 matrices congruent to one A0 = A mod p, its p^((m-1) n^2) lifts, form a
@@ -79,25 +61,18 @@ off A0's own signature, and split the classes into strata:
   only possible Hodge vertex, and f_n = +-det meets Delta_n whenever the
   lift is nonsingular.  The class is characterized exactly when
   f_1, ..., f_{n-1} are units and correspondent exactly when f_{n-1} is;
-  only the key needs v(det).  Ordered as [[M, u], [w, x]] around an
-  entry x whose cofactor c = det M is a unit, det = x c - w adj(M) u is
-  affine in x, so over the p^(m-1) lifts of x, det mod p^m meets each
-  multiple of p once: per lift of the other n^2 - 1 entries,
-  (p-1) p^(m-1-j) lifts have v(det) = j for 1 <= j < m, and the one with
-  det = 0 mod p^m, x = w adj(M) u c^-1 mod p^m, takes its key from its
-  exact det, (n, 0, ..., 0, e) with e >= m or (n-1, 0, ..., 0) for 0.
-  That x is a lift of the class's own entry because det A0 = 0 mod p and
-  c is a unit.  adj(M) is computed once per lift of M and adj(M) u once
-  per lift of u.  These counts are the same for every class in one
-  orbit under row and column permutations and transposition:
-  det(P (A0 + pB) Q) = +-det(A0 + pB), det is unchanged by
-  transposition, and each of these maps carries the lifts of A0 onto
-  the lifts of its image.  So they are computed once per orbit, for
+  only the key needs v(det).  det is affine in an entry whose cofactor
+  is a unit, so most v(det) counts are closed forms and only one lift
+  of that entry per lift of the others is valued (_corank_one_keys).
+  These counts are the same for every class in one orbit under row and
+  column permutations and transposition: det(P (A0 + pB) Q) =
+  +-det(A0 + pB), det is unchanged by transposition, and each of these
+  maps carries the lifts of A0 onto the lifts of its image.  So they are computed once per orbit, for
   its least image P A0 Q or P A0^T Q (_equivalence_key).  Characterized
   and correspondent still come from each class's own signature: an
   independent P and Q change the charpoly.
 - A0 = 0: the lifts are pB with B over [0, p^(m-1)).  Scaling by p adds
-  1 to every Smith exponent and k to v(f_k), which keeps the Hodge test,
+  1 to every Smith exponent and k to v(f_k), which keeps both predicates,
   so this class is the tally of cell (p, m-1, n) with each exponent
   raised by 1.
 - any other rank: every lift is classified by its signature, once per
@@ -124,18 +99,20 @@ over pairs of units.
 
 from __future__ import annotations
 
-import sys
+import os
 from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, combinations, combinations_with_replacement, permutations, product
-from math import comb, factorial, gcd, prod
-from operator import itemgetter, sub
+from itertools import chain, combinations_with_replacement, permutations, product
+from math import comb, factorial, prod
+from operator import itemgetter
 
-from .exact import BudgetExceededError, UnsupportedSizeError, _det_rows, _require_prime, _val, val_p
+from .classify import _predicates
+from .exact import BudgetExceededError, _det_rows, _require_prime
+from .kernel import _VAL_OF_ZERO, _deep_valuations, _signature_valuations, _signatures, _valuation_table
 
 DEFAULT_BUDGET = 2**30
 
@@ -257,262 +234,14 @@ class DensityRow:
 # per-matrix classification
 # ---------------------------------------------------------------------------
 
-# Largest valuation table kept as a list.  Every cell within
-# DEFAULT_BUDGET with n >= 2 fits (the largest, n = 2 with p^m = 181,
-# needs 64800); bigger boxes look valuations up on demand.
-_TABLE_LIMIT = 2**16
-
-# The valuation of zero: a nonzero int's valuation is below its bit
-# length, which is below this, so min() passes over zero entries and
-# minors, a vanishing coefficient never equals a determinantal
-# valuation, and the first Delta_k equal to it marks the rank.
-_VAL_OF_ZERO = sys.maxsize
-
-# Largest n a signature function is built for.  Its C(2n, n) - 1 minors
-# grow about fourfold per step (923 at n = 6); at n = 8 the generated
-# function takes 0.6 s and some 100 MB to build and runs slower than
-# classify.analyze.
-_SIGNATURE_MAX_N = 6
-
-
-def _table_bound(q: int, n: int) -> int:
-    """Largest |x| a signature looks up for an n x n matrix over [0, q).
-
-    f_k sums n!/(k!(n-k)!) principal k x k minors of k! products each, so
-    |f_k| <= n!/(n-k)! (q-1)^k, which also bounds every k x k minor; the
-    maximum over k is at k = n.
-    """
-    return factorial(n) * (q - 1) ** n
-
-
-class _LazyValuations(dict):
-    """val_p on demand, for a box whose table would pass _TABLE_LIMIT and
-    for classify.analyze, whose entries are unbounded.
-
-    Nothing is stored, so memory stays flat however many values a walk
-    looks up.  p must be prime; the caller checks it.
-    """
-
-    def __init__(self, p: int):
-        self[0] = _VAL_OF_ZERO
-        self.p = p
-
-    def __missing__(self, x: int) -> int:
-        return _val(x, self.p)  # x != 0: zero is stored
-
-
-@lru_cache(maxsize=16)
-def _valuation_table(p: int, m: int, n: int) -> list[int] | _LazyValuations:
-    """val_p(x) at index x for every |x| up to _table_bound.
-
-    A list when the bound is within _TABLE_LIMIT: a negative x wraps to
-    the end of it, as Python indexing does, so one list serves both
-    signs.  Past the limit, a _LazyValuations.
-    """
-    bound = _table_bound(p**m, n)
-    if bound > _TABLE_LIMIT:
-        return _LazyValuations(p)
-    table = [_VAL_OF_ZERO] * (2 * bound + 1)
-    for x in range(1, bound + 1):
-        table[x] = table[-x] = val_p(x, p)
-    return table
-
-
-def _minor(R, C) -> str:
-    """Source name of the minor on rows R and columns C: m<row mask>_<column mask>."""
-    return f"m{sum(1 << i for i in R)}_{sum(1 << j for j in C)}"
-
-
-def _laplace(R: tuple[int, ...], C: tuple[int, ...]) -> str:
-    """Source of the minor on rows R, columns C (k >= 2 of each) expanded
-    along row R[-1]: entry (R[-1], c) times the minor on R[:-1] and C
-    without c, sign (-1)^(k-1+t) for the t-th column c."""
-    terms = ([], [])
-    for t, c in enumerate(C):
-        terms[(len(C) - 1 + t) % 2].append(f"{_minor(R[-1:], (c,))} * {_minor(R[:-1], C[:t] + C[t + 1 :])}")
-    plus, minus = terms
-    return " + ".join(plus) + "".join(f" - {t}" for t in minus)
-
-
-def _row(i: int, n: int) -> str:
-    """Source target for row i of an n x n matrix: its entries bound to
-    the 1 x 1 minors m<1 << i>_<1 << j>."""
-    return "(" + ", ".join(_minor((i,), (j,)) for j in range(n)) + ",)"
-
-
-def _compile(name: str, args: str, lines: list[str]):
-    """Compile the straight-line source lines into a function name(args)."""
-    source = "\n".join([f"def {name}({args}):", *lines])
-    namespace = {"gcd": gcd}
-    exec(compile(source, f"<padicsmith.density {name}>", "exec"), namespace)
-    return namespace[name]
-
-
-@lru_cache(maxsize=None)
-def _signatures(n: int):
-    """The batched signature kernel sigs(prefix, lasts, vt) for n x n matrices.
-
-    prefix holds rows 0 .. n-2 and lasts a sequence of rows n-1.  It
-    returns, per last row in order, the signature of the matrix
-    prefix + (last,): (v(f_1), ..., v(f_n), Delta_1, ..., Delta_n) with
-    v(x) = vt[x].  v(f_k) is the valuation of the sum of the principal
-    k x k minors (f_k up to sign) and Delta_k that of the gcd of all
-    k x k minors, their least valuation.
-
-    The k x k minor on rows R and columns C expands along the last row
-    of R into (k-1) x (k-1) minors, so every minor of every size is
-    computed once, C(2n, n) - 1 in all.  A minor off row n-1 depends on
-    the prefix alone, and one on row n-1 expands along it into prefix
-    minors.  So each call computes the prefix minors once, with the
-    prefix part f<k> of each principal sum and the gcd g<k> of the
-    prefix k x k minors, and then per last row only the minors on row
-    n-1: Delta_k = vt[gcd(g<k>, <their k x k minors>)], where
-    gcd(0, ..., 0) = 0 maps to _VAL_OF_ZERO.
-
-    No minor expands into one on row n-1, so those are leaves: the
-    principal ones feed f_k and stay statements, the others feed only the
-    gcd and are written inline in it.  Delta_k <= v(g<k>), so when g<k> is
-    a unit, u<k> per prefix, Delta_k = 0 and the gcd, with its inline
-    minors, is not evaluated.
-
-    The recurrence is emitted as straight-line source and compiled once
-    per n: the same steps as a loop over an index plan of minor slots
-    took about 7 times as long per matrix at n = 3 and 4 (CPython
-    3.11).  The source holds nothing but minor names, integer indices
-    and operators.  Raises UnsupportedSizeError past _SIGNATURE_MAX_N.
-    """
-    if n > _SIGNATURE_MAX_N:
-        raise UnsupportedSizeError(
-            f"residue classification is limited to n <= {_SIGNATURE_MAX_N}, got {n}; "
-            "use classify.analyze"
-        )
-    idx, last = range(n), n - 1
-    head = [f"    {''.join(_row(i, n) + ', ' for i in idx[:-1])}= prefix"] if n > 1 else []
-    body, fv, dv = [], [], []
-    for k in range(1, n + 1):
-        off, on = [], []  # k x k minors off row n-1, and sources of those on it
-        for R in combinations(idx, k):
-            for C in combinations(idx, k):
-                name = _minor(R, C)
-                if last not in R:
-                    off.append(name)
-                    if k > 1:
-                        head.append(f"    {name} = {_laplace(R, C)}")
-                elif R == C and k > 1:
-                    body.append(f"        {name} = {_laplace(R, C)}")
-                    on.append(name)
-                else:  # a leaf read by the gcd alone: inline, skipped under u<k>
-                    on.append(_laplace(R, C) if k > 1 else name)
-        principal = " + ".join(_minor(S, S) for S in combinations(idx, k) if last in S)
-        if k < n:
-            head.append(f"    f{k} = {' + '.join(_minor(S, S) for S in combinations(idx[:-1], k))}")
-            head.append(f"    g{k} = gcd({', '.join(off)})")
-            head.append(f"    u{k} = vt[g{k}] == 0")
-            fv.append(f"vt[f{k} + {principal}]")
-            dv.append(f"0 if u{k} else vt[gcd(g{k}, {', '.join(on)})]")
-        else:
-            fv.append(f"vt[{principal}]")
-            dv.append(f"vt[{principal}]")
-    lines = [
-        *head,
-        "    out = []",
-        f"    for {_row(last, n)} in lasts:",
-        *body,
-        f"        out.append(({', '.join(fv + dv)}))",
-        "    return out",
-    ]
-    return _compile(f"signatures_n{n}", "prefix, lasts, vt", lines)
-
-
-@lru_cache(maxsize=None)
-def _deep_valuations(n: int):
-    """The kernel deep(Ms, us, ws, q, vt) for a class of rank n - 1, n >= 2.
-
-    The class is ordered as [[M, u], [w, x]] with M of size n - 1 and
-    det M a unit mod p.  Ms, us and ws run over the lifts of M (as rows),
-    of the column u and of the row w.  Each such lift has one lift of x
-    with det = 0 mod q, and the kernel returns how many have each
-    vt[det], as a dict.  From det = x det M - w adj(M) u, with c = det M
-    and s = w adj(M) u, that lift is x* = s c^-1 mod q and
-    det = x* c - s.  c, its inverse and the minors of M up to size n - 2,
-    the largest of which are the entries of adj(M) up to sign, are
-    computed once per lift of M, v = adj(M) u once per lift of u, and only
-    s = w v per lift of w.
-    """
-    size = n - 1
-    idx = tuple(range(size))
-    lines = ["    out = {}", f"    for {''.join(_row(i, size) + ', ' for i in idx)}in Ms:"]
-    for k in range(2, size):
-        for R in combinations(idx, k):
-            lines.extend(f"        {_minor(R, C)} = {_laplace(R, C)}" for C in combinations(idx, k))
-    lines.append(f"        c = {_laplace(idx, idx) if size > 1 else _minor(idx, idx)}")
-    lines.append("        ci = pow(c, -1, q)")
-    lines.append(f"        for {''.join(f'u{j}, ' for j in idx)}in us:")
-    for i in idx:
-        # adj(M)[i][j] = (-1)^(i+j) times the minor of M without row j and column i
-        terms = ([], [])
-        for j in idx:
-            rest = tuple(r for r in idx if r != j), tuple(c for c in idx if c != i)
-            terms[(i + j) % 2].append(f"{_minor(*rest)} * u{j}" if size > 1 else f"u{j}")
-        plus, minus = terms
-        lines.append(f"            v{i} = {' + '.join(plus)}{''.join(f' - {t}' for t in minus)}")
-    lines.append(f"            for {''.join(f'w{i}, ' for i in idx)}in ws:")
-    lines.append(f"                s = {' + '.join(f'w{i} * v{i}' for i in idx)}")
-    lines.append("                e = vt[s * ci % q * c - s]")
-    lines.append("                out[e] = out.get(e, 0) + 1")
-    lines.append("    return out")
-    return _compile(f"deep_valuations_n{n}", "Ms, us, ws, q, vt", lines)
-
-
-def _hodge_test(fv: tuple[int, ...], dv: tuple[int, ...]) -> tuple[bool, bool]:
-    """(characterized, correspondent) from val_p(f_k) and Delta_k, k = 1..r.
-
-    fv[k-1] is val_p(f_k), with _VAL_OF_ZERO for a vanishing f_k, and
-    dv[k-1] = Delta_k = e_1 + ... + e_k.  Characterized means fv == dv.
-    Each f_k sums principal k x k minors, so fv >= dv entrywise: the
-    Newton polygon lies on or above the Hodge polygon through the points
-    (k, Delta_k), and both end at x = r.  They are equal, i.e. the
-    matrix is correspondent, exactly when the Newton points hit the Hodge
-    polygon at x = r and at every vertex k, where e_k < e_{k+1}.  So
-    characterized (fv == dv, the first branch) implies correspondent.
-    """
-    if fv == dv:
-        return True, True
-    if fv[-1] != dv[-1]:
-        return False, False
-    prev = 0
-    for k in range(len(dv) - 1):
-        # e_k < e_{k+1} is Delta_k - Delta_{k-1} < Delta_{k+1} - Delta_k
-        if fv[k] != dv[k] and 2 * dv[k] < prev + dv[k + 1]:
-            return False, False
-        prev = dv[k]
-    return False, True
-
-
-def _smith_valuations(sig: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(Delta_1, ..., Delta_r) and the Smith exponents (e_1, ..., e_r) of a signature.
-
-    The rank r is the first k with Delta_k = _VAL_OF_ZERO, n if there is
-    none, and e_k = Delta_k - Delta_{k-1}.
-    """
-    n = len(sig) // 2
-    dv = sig[n:]
-    if _VAL_OF_ZERO in dv:
-        dv = dv[: dv.index(_VAL_OF_ZERO)]
-    return dv, tuple(map(sub, dv, (0,) + dv))
-
-
 @lru_cache(maxsize=4096)
-def _outcome(sig: tuple[int, ...]) -> tuple[bool, bool, tuple[int, ...]]:
-    """(characterized, correspondent, partition_key) of a signature.
-
-    f_k vanishes for every k beyond the rank r, so only k <= r enters the
-    Hodge test.  A box has few distinct signatures, hence the memo.
-    """
-    dv, exponents = _smith_valuations(sig)
-    r = len(dv)
-    char, corr = _hodge_test(sig[:r], dv)
-    return char, corr, (r,) + exponents
+def _outcome(sig: tuple[int, ...], p: int) -> tuple[bool, bool, tuple[int, ...]]:
+    """(characterized, correspondent, partition_key) of a signature at p,
+    decided by classify._predicates; a box has few distinct signatures,
+    hence the memo."""
+    vals, exponents = _signature_valuations(sig)
+    _, _, char, corr = _predicates(vals, exponents, p, f"signature {sig} at p={p}")
+    return char, corr, (len(exponents),) + exponents
 
 
 def _det_filtered(key: tuple[int, ...], n: int, m: int) -> bool:
@@ -552,7 +281,7 @@ def classify_residue_matrix(
         raise ValueError(
             f"residue matrix entries must lie in [0, {q}), got {[list(r) for r in rows]}"
         )
-    char, corr, key = _outcome(_signatures(n)(rows[:-1], rows[-1:], _valuation_table(p, m, n))[0])
+    char, corr, key = _outcome(_signatures(n)(rows[:-1], rows[-1:], _valuation_table(p, m, n))[0], p)
     return char, corr, key, _det_filtered(key, n, m)
 
 
@@ -682,19 +411,19 @@ def _similarity_key(cls) -> tuple[tuple[int, ...], ...]:
     return min(tuple(map(order, order(a))) for a in (cls, tuple(zip(*cls))) for order in orders)
 
 
-def _count_outcomes(tally: Counter, runs, weight: int, sigs, vt) -> None:
+def _count_outcomes(tally: Counter, runs, weight: int, p: int, sigs, vt) -> None:
     """Add the outcome (characterized, correspondent, partition_key) of
     each matrix of a _walk to tally, weight times; each distinct
     signature is decided once."""
     counts = Counter(chain.from_iterable(sigs(prefix, lasts, vt) for prefix, lasts in runs))
     for sig, count in counts.items():
-        tally[_outcome(sig)] += weight * count
+        tally[_outcome(sig, p)] += weight * count
 
 
 def _lift_outcomes(cls, p: int, m: int, sigs, vt) -> Counter:
     """Outcomes of the p^((m-1) n^2) lifts of a class mod p, each classified."""
     outcomes: Counter = Counter()
-    _count_outcomes(outcomes, _walk([[_lifts(row, p, m) for row in cls]]), 1, sigs, vt)
+    _count_outcomes(outcomes, _walk([[_lifts(row, p, m) for row in cls]]), 1, p, sigs, vt)
     return outcomes
 
 
@@ -716,7 +445,7 @@ def _tally(args: tuple[int, int, int, Iterable[tuple[int, ...]]]) -> Counter:
 
     if m == 1:
         for runs, weight in blocks:
-            _count_outcomes(tally, runs, weight, sigs, vt)
+            _count_outcomes(tally, runs, weight, p, sigs, vt)
         return tally
 
     vt1 = _valuation_table(p, 1, n)
@@ -753,14 +482,31 @@ def _tally(args: tuple[int, int, int, Iterable[tuple[int, ...]]]) -> Counter:
     return tally
 
 
+def _space_size(space: str, p: int, exponent: int, budget: int) -> int:
+    """p^exponent, the size of a space of matrices, if it fits budget.
+
+    The space holds at least 2^exponent matrices, so from exponent >=
+    budget.bit_length() on it is refused without building its size, which
+    can run to millions of digits; one too long to print shows as p^exponent.
+    """
+    if exponent < budget.bit_length():
+        size = p**exponent
+        if size <= budget:
+            return size
+    shown = p**exponent if exponent * p.bit_length() <= 10_000 else f"{p}^{exponent}"
+    raise BudgetExceededError(f"{space} = {shown} exceeds budget {budget}")
+
+
 def _box_size(p: int, m: int, n: int, budget: int) -> int:
     """The number (p^m)^(n^2) of n x n matrices over [0, p^m), if it fits budget."""
-    total = (p**m) ** (n * n)
-    if total > budget:
-        raise BudgetExceededError(
-            f"enumeration space (p^m)^(n^2) = {total} exceeds budget {budget}"
-        )
-    return total
+    return _space_size("enumeration space (p^m)^(n^2)", p, m * n * n, budget)
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def enumerate_density(
@@ -778,7 +524,8 @@ def enumerate_density(
     m = 1, classes mod p for m >= 2 (see the module docstring).  With
     workers, each sorted diagonal is one task, handed to the next free
     worker, and the tallies are summed, so the result is independent of
-    thread count.  Raises BudgetExceededError when the full space
+    thread count.  No more workers start than there are diagonals or
+    usable CPUs.  Raises BudgetExceededError when the full space
     (p^m)^(n^2) is larger than budget, however few of its matrices are
     classified one by one, and UnsupportedSizeError past n = 6, both
     before any work starts.
@@ -804,7 +551,7 @@ def enumerate_density(
         import multiprocessing as mp
 
         tasks = [(p, m, n, (diag,)) for diag in diags]
-        with mp.Pool(min(threads, len(tasks))) as pool:
+        with mp.Pool(min(threads, len(tasks), _usable_cpus())) as pool:
             tally = sum(pool.imap(_tally, tasks, chunksize=1), Counter())
     weight = sum(tally.values())
     if weight != total:
@@ -924,12 +671,8 @@ def orbit_stabilizer_check(
         raise ValueError(
             f"profile classes need sum(e) < m, got sum {sum(exponents)} with m={m}"
         )
+    _space_size("pair space (p^m)^(2 n^2)", p, 2 * m * n * n, budget)
     q = p**m
-    space = q ** (n * n)
-    if space * space > budget:
-        raise BudgetExceededError(
-            f"pair space (p^m)^(2 n^2) = {space * space} exceeds budget {budget}"
-        )
 
     rng_n = range(n)
     units = [

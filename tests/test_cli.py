@@ -299,10 +299,46 @@ def test_package_has_no_assert_statements():
         (name, func) for name, tree in trees.items() for func in _assertion_error_raises(tree)
     )
     assert raises == [
-        ("classify.py", "analyze"),
+        ("classify.py", "_predicates"),
         ("density.py", "_corank_one_keys"),
         ("density.py", "enumerate_density"),
     ]
+
+
+def _imported_modules(path):
+    """The package-relative or absolute module names a source file imports."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom):
+            yield ("." * node.level) + (node.module or "")
+        elif isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+
+
+def test_kernel_and_classify_do_not_import_the_enumerator():
+    # analyze needs the minor kernel, not the density walk, and the kernel
+    # needs neither
+    package = Path(padicsmith.__file__).resolve().parent
+    forbidden = {
+        "classify.py": {"density"},
+        "kernel.py": {"density", "classify"},
+    }
+    for name, modules in forbidden.items():
+        for imported in _imported_modules(package / name):
+            assert imported.rsplit(".", 1)[-1] not in modules, f"{name} imports {imported}"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["density", "-p", "3", "-m", "2000", "-n", "3"],
+        ["verify", "--suite", "theorem1", "--p", "3", "--m", "2000", "--n", "3"],
+    ],
+)
+def test_a_box_too_large_to_print_is_refused_with_exit_2(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: enumeration space (p^m)^(n^2) = 3^18000 exceeds budget 1073741824\n"
 
 
 def _plant_gl_order_off_by_one(monkeypatch):

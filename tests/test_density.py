@@ -1,6 +1,7 @@
 import hashlib
 import multiprocessing
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -23,8 +24,11 @@ from padicsmith.density import (
     round_half_up_2dec,
 )
 from padicsmith.exact import BudgetExceededError, IntMatrix, UnsupportedSizeError, det, rem_pm, val_p
-from padicsmith.newton import valuations_from_charpoly
+from padicsmith.kernel import _valuation_table
+from padicsmith.newton import EigenvalueValuations
 from padicsmith.smith import local_profile, smith_form
+
+from oracles import hodge_vertex_predicates
 
 
 def test_rounding_renders_two_decimals():
@@ -151,6 +155,34 @@ def test_pool_gets_one_task_per_sorted_diagonal(monkeypatch, cell):
     assert tasks == [(p, m, n, (diag,)) for diag in combinations_with_replacement(range(p), n)]
 
 
+def test_pool_starts_no_more_workers_than_usable_cpus(monkeypatch):
+    # (3,1,3) has 10 sorted diagonals; a fake Pool records the worker count
+    import padicsmith.density as density
+
+    started = []
+
+    class RecordingPool:
+        def __init__(self, processes):
+            started.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, func, iterable, chunksize=1):
+            return map(func, iterable)
+
+    serial = enumerate_density(3, 1, 3)
+    monkeypatch.setattr(density, "_POOL_MIN_ONE_BY_ONE", 1)
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+    for cpus, threads in [(2, 5151), (3, 4), (16, 5151)]:
+        monkeypatch.setattr(density, "_usable_cpus", lambda: cpus)
+        assert enumerate_density(3, 1, 3, threads=threads) == serial
+    assert started == [2, 3, 10]
+
+
 def test_no_pool_when_every_class_is_counted_whole(monkeypatch):
     # m >= 2 and n = 2: no class has a rank between 1 and n-2, so no matrix
     # is classified one by one and workers would only add their start-up
@@ -253,6 +285,21 @@ def test_budget_guard():
         enumerate_density(2, 9, 3, budget=2**20)
 
 
+@pytest.mark.parametrize("m", [2000, 4_000_000])
+def test_budget_refuses_a_huge_box_without_building_its_size(m):
+    # (3^m)^9 has far more digits than str() prints, and at m = 4000000
+    # computing it took some 35 s; the refusal names it as a power of p
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError, match=rf"\(p\^m\)\^\(n\^2\) = 3\^{9 * m} exceeds budget"):
+        enumerate_density(3, m, 3)
+    with pytest.raises(BudgetExceededError, match=rf"\(p\^m\)\^\(2 n\^2\) = 3\^{18 * m} exceeds budget"):
+        orbit_stabilizer_check(3, m, (0, 0, 0))
+    assert time.perf_counter() - start < 5
+    # a printable size is still printed
+    with pytest.raises(BudgetExceededError, match=r"= 134217728 exceeds budget 2$"):
+        enumerate_density(2, 3, 3, budget=2)
+
+
 def test_enumerate_density_rejects_empty_boxes_and_no_workers():
     with pytest.raises(ValueError, match="need m >= 1 and n >= 1, got m=0, n=2"):
         enumerate_density(2, 0, 2)
@@ -275,26 +322,44 @@ def test_enumerate_density_refuses_n_past_six_before_starting_workers(monkeypatc
 
 
 def _analyze_outcome(rows, p, m):
-    """classify_residue_matrix's result as classify.analyze defines it, from
-    Berkowitz and the integer Smith form rather than the signature kernel
-    that both of them run for n <= 4."""
+    """classify_residue_matrix's result from Berkowitz and the integer
+    Smith form rather than the signature kernel, and with the predicates
+    from the Hodge-vertex rule rather than the Newton hull that both
+    classify_residue_matrix and classify.analyze build."""
     A = IntMatrix.from_rows(rows)
-    f = char_poly(A)
     s = smith_form(A)
     profile = tuple(val_p(d, p) for d in s.invariant_factors)
-    characterized = tuple(val_p(c, p) for c in f.coeffs[: s.rank]) == tuple(val_p(d, p) for d in s.dets)
-    correspondent = valuations_from_charpoly(f, p).values == profile
+    fv = [val_p(c, p) for c in char_poly(A).coeffs[: s.rank]]
+    characterized, correspondent = hodge_vertex_predicates(fv, [val_p(d, p) for d in s.dets])
     in_filter = s.rank == len(rows) and val_p(det(A), p) < m
     return characterized, correspondent, (s.rank,) + profile, in_filter
 
 
 def test_fast_classifier_matches_analyze_exhaustively():
-    # the n=3 boxes pin the Hodge-vertex test to the Newton polygon of the charpoly
+    # every matrix of these boxes holds the library's hull-based predicates
+    # to the Hodge-vertex oracle
     for p, m, n in [(2, 1, 2), (3, 1, 2), (2, 1, 3), (3, 1, 3)]:
         q = p**m
         for flat in product(range(q), repeat=n * n):
             rows = [list(flat[i * n : (i + 1) * n]) for i in range(n)]
             assert classify_residue_matrix(rows, p, m) == _analyze_outcome(rows, p, m)
+
+
+def test_density_engine_raises_on_a_planted_counterexample(monkeypatch):
+    # a wrong Newton hull makes a characterized matrix non-correspondent;
+    # the engine decides both predicates with the same rule as analyze, so
+    # it raises instead of counting the counterexample
+    import padicsmith.classify as classify
+
+    @lru_cache(maxsize=None)
+    def wrong(vals, p):
+        return EigenvalueValuations(p=p, values=(Fraction(1),) * len(vals), zero_count=0)
+
+    monkeypatch.setattr(classify, "_eigenvalue_valuations", wrong)
+    with pytest.raises(AssertionError, match="characterized-but-not-correspondent"):
+        enumerate_density(2, 1, 2)
+    with pytest.raises(AssertionError, match=r"signature \(0, 0, 0, 0\) at p=2"):
+        classify_residue_matrix([[1, 1], [1, 0]], 2, 1)
 
 
 def test_classifier_rejects_entries_outside_the_box():
@@ -410,7 +475,7 @@ def test_corank_one_keys_match_every_lift(p, m, cls):
         classify_residue_matrix([flat[i * n : (i + 1) * n] for i in range(n)], p, m)[2]
         for flat in product(*(range(a, q, p) for row in cls for a in row))
     )
-    vt = density._valuation_table(p, m, n)
+    vt = _valuation_table(p, m, n)
     assert density._corank_one_keys(tuple(map(tuple, cls)), p, m, vt) == want
 
 
@@ -447,7 +512,7 @@ def test_corank_one_keys_are_constant_on_equivalence_orbits(p, m, cls):
 
     n = len(cls)
     rng = random.Random(repr(cls))
-    vt = density._valuation_table(p, m, n)
+    vt = _valuation_table(p, m, n)
     want = density._corank_one_keys(tuple(map(tuple, cls)), p, m, vt)
     row_order, col_order = rng.sample(range(n), n), rng.sample(range(n), n)
     for image in (_permuted(cls, row_order, col_order), _transposed(cls)):
