@@ -48,7 +48,7 @@ e_k < e_{k+1}, and characterized when that holds at every k.
 For m >= 2 the walk runs over residue classes, not matrices.  The
 matrices congruent to one A0 = A mod p, its p^((m-1) n^2) lifts, form a
 class, and the classes are walked over the representatives of the
-(p, 1, n) box with the same weights: P(A0 + pB)P^T and transposition map
+box over [0, p) with the same weights: P(A0 + pB)P^T and transposition map
 the lifts of A0 one-to-one onto the lifts of its image.  Each f_k mod p
 and the rank of A0 mod p (the number of Delta_k equal to 0) are read
 off A0's own signature, and split the classes into strata:
@@ -240,7 +240,7 @@ def _outcome(sig: tuple[int, ...], p: int) -> tuple[bool, bool, tuple[int, ...]]
     decided by classify._predicates; a box has few distinct signatures,
     hence the memo."""
     vals, exponents = _signature_valuations(sig)
-    _, _, char, corr = _predicates(vals, exponents, p, f"signature {sig} at p={p}")
+    _, _, char, corr = _predicates(vals, exponents, p, f"v(f_k) {vals}, Smith exponents {exponents} at p={p}")
     return char, corr, (len(exponents),) + exponents
 
 
@@ -294,12 +294,12 @@ def _arrangements(diag: tuple[int, ...]) -> int:
     return factorial(len(diag)) // prod(factorial(c) for c in Counter(diag).values())
 
 
-def _representative_count(p: int, n: int) -> int:
-    """Number of representatives of the (p, 1, n) box: sorted diagonals
-    x (a01 <= a10) pairs x the other off-diagonal digits."""
+def _representative_count(q: int, n: int) -> int:
+    """Number of representatives of the n x n box over [0, q): sorted
+    diagonals x (a01 <= a10) pairs x the other off-diagonal digits."""
     if n == 1:
-        return p
-    return comb(p + n - 1, n) * comb(p + 1, 2) * p ** (n * n - n - 2)
+        return q
+    return comb(q + n - 1, n) * comb(q + 1, 2) * q ** (n * n - n - 2)
 
 
 def _walk(groups):
@@ -314,8 +314,8 @@ def _walk(groups):
             yield prefix, lasts
 
 
-def _blocks(p: int, n: int, diag: tuple[int, ...]):
-    """The representatives of the (p, 1, n) box with sorted diagonal diag.
+def _blocks(q: int, n: int, diag: tuple[int, ...]):
+    """The representatives of the n x n box over [0, q) with sorted diagonal diag.
 
     Yields (runs, weight) per block: runs is a _walk over the block's
     (prefix, lasts) runs, in which each matrix stands for weight
@@ -333,14 +333,14 @@ def _blocks(p: int, n: int, diag: tuple[int, ...]):
         return
     d0, d1 = diag[:2]
     # rows 0 and 1 indexed by a01 and a10, each over its other fills;
-    # row i >= 2 runs over its p^(n-1) off-diagonal fills around diag[i]
-    row0 = [[(d0, x, *f) for f in product(range(p), repeat=n - 2)] for x in range(p)]
-    row1 = [[(y, d1, *f) for f in product(range(p), repeat=n - 2)] for y in range(p)]
-    rest = [[(*f[:i], d, *f[i:]) for f in product(range(p), repeat=n - 1)] for i, d in enumerate(diag) if i >= 2]
+    # row i >= 2 runs over its q^(n-1) off-diagonal fills around diag[i]
+    row0 = [[(d0, x, *f) for f in product(range(q), repeat=n - 2)] for x in range(q)]
+    row1 = [[(y, d1, *f) for f in product(range(q), repeat=n - 2)] for y in range(q)]
+    rest = [[(*f[:i], d, *f[i:]) for f in product(range(q), repeat=n - 1)] for i, d in enumerate(diag) if i >= 2]
     # one group per a01 in each block: row 1 over every a10 > a01
-    # (strict, empty for a01 = p - 1), then with a10 = a01 (tied)
-    strict = [(row0[x], [r for y in range(x + 1, p) for r in row1[y]], *rest) for x in range(p - 1)]
-    tied = [(row0[x], row1[x], *rest) for x in range(p)]
+    # (strict, empty for a01 = q - 1), then with a10 = a01 (tied)
+    strict = [(row0[x], [r for y in range(x + 1, q) for r in row1[y]], *rest) for x in range(q - 1)]
+    tied = [(row0[x], row1[x], *rest) for x in range(q)]
     yield _walk(strict), 2 * weight
     yield _walk(tied), weight
 
@@ -427,34 +427,37 @@ def _lift_outcomes(cls, p: int, m: int, sigs, vt) -> Counter:
     return outcomes
 
 
-def _tally(args: tuple[int, int, int, Iterable[tuple[int, ...]]]) -> Counter:
-    """Tally the (p, 1, n) representatives with a sorted diagonal in diags.
-
-    Returns a Counter of outcomes (characterized, correspondent,
-    partition_key), each counted with its weight.  For m = 1 each
-    representative is one matrix of the box and is classified itself.
-    For m >= 2 it is a class A mod p whose p^((m-1) n^2) lifts are
-    counted by the stratum of its rank mod p (see the module docstring);
-    only ranks 1 .. n-2 classify their lifts one by one.  The lift work
-    of ranks 1 .. n-1 runs once per orbit of the classes in diags.
-    """
-    p, m, n, diags = args
+def _box_tally(p: int, m: int, n: int, diags: Iterable[tuple[int, ...]] | None = None) -> Counter:
+    """Outcomes of the box over [0, p^m), from its representatives with a sorted diagonal in
+    diags (all by default), each classified and weighted; verify theorem1 walks the whole box."""
     sigs, vt = _signatures(n), _valuation_table(p, m, n)
     tally: Counter = Counter()
-    blocks = chain.from_iterable(_blocks(p, n, diag) for diag in diags)
-
-    if m == 1:
-        for runs, weight in blocks:
+    for diag in combinations_with_replacement(range(p**m), n) if diags is None else diags:
+        for runs, weight in _blocks(p**m, n, diag):
             _count_outcomes(tally, runs, weight, p, sigs, vt)
-        return tally
+    return tally
 
-    vt1 = _valuation_table(p, 1, n)
+
+def _tally(args: tuple[int, int, int, Iterable[tuple[int, ...]]]) -> Counter:
+    """Tally the representatives of the box over [0, p) with a sorted diagonal in diags.
+
+    Returns a Counter of outcomes (characterized, correspondent, partition_key),
+    each counted with its weight: for m = 1 by _box_tally, for m >= 2 as classes
+    A mod p whose p^((m-1) n^2) lifts are counted by the stratum of their rank
+    mod p (see the module docstring).  Only ranks 1 .. n-2 classify lifts one by
+    one, and the lift work of ranks 1 .. n-1 runs once per orbit of the classes.
+    """
+    p, m, n, diags = args
+    if m == 1:
+        return _box_tally(p, 1, n, diags)
+    sigs, vt, vt1 = _signatures(n), _valuation_table(p, m, n), _valuation_table(p, 1, n)
+    tally: Counter = Counter()
     units = (0,) * (n - 1)
     class_size = p ** ((m - 1) * n * n)
     # the per-lift work of each class, once per orbit of its stratum's symmetry
     deep_keys: dict = {}  # by _equivalence_key: partition keys of the lifts
     lift_outcomes: dict = {}  # by _similarity_key: outcomes of the lifts
-    for runs, weight in blocks:
+    for runs, weight in chain.from_iterable(_blocks(p, n, diag) for diag in diags):
         for prefix, lasts in runs:
             for last, sig in zip(lasts, sigs(prefix, lasts, vt1)):
                 cls = (*prefix, last)
@@ -519,7 +522,7 @@ def enumerate_density(
 ) -> DensityRow:
     """Count every n x n matrix over [0, p^m) and tally the densities.
 
-    The walk runs over the representatives of the (p, 1, n) box, each
+    The walk runs over the representatives of the box over [0, p), each
     weighted by its number of diagonal arrangements: single matrices for
     m = 1, classes mod p for m >= 2 (see the module docstring).  With
     workers, each sorted diagonal is one task, handed to the next free

@@ -146,10 +146,7 @@ def _signatures(n: int):
     and operators.  Raises UnsupportedSizeError past _SIGNATURE_MAX_N.
     """
     if n > _SIGNATURE_MAX_N:
-        raise UnsupportedSizeError(
-            f"residue classification is limited to n <= {_SIGNATURE_MAX_N}, got {n}; "
-            "use classify.analyze"
-        )
+        raise UnsupportedSizeError(f"the signature kernel is limited to n <= {_SIGNATURE_MAX_N}, got {n}")
     idx, last = range(n), n - 1
     head = [f"    {''.join(_row(i, n) + ', ' for i in idx[:-1])}= prefix"] if n > 1 else []
     body, fv, dv = [], [], []

@@ -4,7 +4,8 @@ import json
 import os
 import subprocess
 import sys
-from itertools import product
+from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,7 @@ import pytest
 import padicsmith
 from padicsmith.cli import main
 from padicsmith.exact import _PRIME_LIMIT, IntMatrix
+from padicsmith.newton import EigenvalueValuations
 
 from conftest import CONVEXED, HEPTA, SKEWED, TRIDENT
 
@@ -432,37 +434,106 @@ def test_verify_theorem1_pinned_line(capsys):
     assert out == "PASS theorem1 p=3 m=2 n=2: 6561 matrices, 0 characterized-but-not-correspondent\n"
 
 
-def test_verify_theorem1_names_the_failing_matrix(monkeypatch, capsys):
+@pytest.mark.parametrize(
+    "p, m, n, total",
+    [
+        (2, 1, 1, 2),
+        (7, 3, 1, 343),
+        (5, 2, 1, 25),
+        (2, 3, 2, 4096),
+        (5, 1, 2, 625),
+        (7, 1, 2, 2401),
+        (2, 1, 3, 512),
+        (3, 1, 3, 19683),
+        (2, 1, 4, 65536),
+        (2, 2, 3, 262144),
+    ],
+)
+def test_verify_theorem1_pinned_lines(capsys, p, m, n, total):
+    # the PASS line counts every matrix of the box, not its representatives
+    assert main(["verify", "--suite", "theorem1", "--p", str(p), "--m", str(m), "--n", str(n)]) == 0
+    assert capsys.readouterr().out == (
+        f"PASS theorem1 p={p} m={m} n={n}: {total} matrices, 0 characterized-but-not-correspondent\n"
+    )
+
+
+def test_verify_theorem1_classifies_representatives_not_matrices(monkeypatch, capsys):
+    # (2,2,3) has 262144 matrices; the walk classifies only the
+    # representatives with a sorted diagonal and a01 <= a10, each through
+    # the signature kernel, and never runs analyze or Berkowitz
+    import padicsmith.classify as classify
     import padicsmith.cli as cli
+    import padicsmith.density as density
 
-    real, seen = cli.analyze, []
+    def never(*args):
+        pytest.fail("per-matrix route called by theorem1")
 
-    def planted(A, p):
-        seen.append(tuple(map(tuple, A)))
-        if seen[-1] == ((0, 1), (1, 1)):
-            raise AssertionError(f"planted at {seen[-1]}")
-        return real(A, p)
+    for module, name in ((cli, "analyze"), (classify, "analyze"), (classify, "char_poly")):
+        monkeypatch.setattr(module, name, never)
+    real, classified = density._signatures, []
 
-    monkeypatch.setattr(cli, "analyze", planted)
+    def counting(n):
+        sigs = real(n)
+
+        def counted(prefix, lasts, vt):
+            out = sigs(prefix, lasts, vt)
+            classified.append(len(out))
+            return out
+
+        return counted
+
+    monkeypatch.setattr(density, "_signatures", counting)
+    assert main(["verify", "--suite", "theorem1", "--p", "2", "--m", "2", "--n", "3"]) == 0
+    assert "262144 matrices" in capsys.readouterr().out
+    assert sum(classified) == density._representative_count(4, 3) == 51200
+
+
+def test_verify_theorem1_names_the_failing_valuations(monkeypatch, capsys):
+    # a wrong Newton hull makes a characterized matrix non-correspondent;
+    # the FAIL line names the valuations the walk decided and p
+    import padicsmith.classify as classify
+
+    @lru_cache(maxsize=None)
+    def wrong(vals, p):
+        return EigenvalueValuations(p=p, values=(Fraction(1),) * len(vals), zero_count=0)
+
+    monkeypatch.setattr(classify, "_eigenvalue_valuations", wrong)
     assert main(["verify", "--suite", "theorem1", "--p", "2", "--m", "1", "--n", "2"]) == 1
-    out = capsys.readouterr().out
-    assert out == "FAIL theorem1 p=2 m=1 n=2: counterexample found (planted at ((0, 1), (1, 1)))\n"
-    # flat row-major order, stopping at the first failure
-    assert seen == [((a, b), (c, d)) for a, b, c, d in product(range(2), repeat=4)][:8]
+    # the zero matrix, of rank 0, is the first characterized one walked
+    assert capsys.readouterr().out == (
+        "FAIL theorem1 p=2 m=1 n=2: counterexample found (characterized-but-not-correspondent "
+        "matrix encountered; this contradicts the implication the package is built on: "
+        "v(f_k) (INFINITY, INFINITY), Smith exponents () at p=2)\n"
+    )
 
 
 def test_verify_theorem1_refuses_a_box_over_budget(monkeypatch, capsys):
     import padicsmith.cli as cli
 
-    def never(A, p):
-        pytest.fail("analyze called on a box over budget")
+    def never(*args):
+        pytest.fail("the box walked although it is over budget")
 
-    monkeypatch.setattr(cli, "analyze", never)
+    monkeypatch.setattr(cli, "_box_tally", never)
     argv = ["verify", "--suite", "theorem1", "--p", "2", "--m", "3", "--n", "3", "--budget", "1000"]
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "exceeds budget 1000" in captured.err
+
+
+def test_verify_theorem1_refuses_n_past_six_before_the_walk(monkeypatch, capsys):
+    # the box 2^49 fits the budget, but the signature kernel stops at n = 6
+    import padicsmith.density as density
+
+    def never(*args):
+        pytest.fail("the walk started on a box past n = 6")
+
+    monkeypatch.setattr(density, "_blocks", never)
+    argv = ["verify", "--suite", "theorem1", "--p", "2", "--m", "1", "--n", "7", "--budget", str(2**50)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the signature kernel is limited to n <= 6, got 7\n"
 
 
 def test_verify_lemma33_rejects_p_one():

@@ -358,7 +358,7 @@ def test_density_engine_raises_on_a_planted_counterexample(monkeypatch):
     monkeypatch.setattr(classify, "_eigenvalue_valuations", wrong)
     with pytest.raises(AssertionError, match="characterized-but-not-correspondent"):
         enumerate_density(2, 1, 2)
-    with pytest.raises(AssertionError, match=r"signature \(0, 0, 0, 0\) at p=2"):
+    with pytest.raises(AssertionError, match=r"v\(f_k\) \(0, 0\), Smith exponents \(0, 0\) at p=2"):
         classify_residue_matrix([[1, 1], [1, 0]], 2, 1)
 
 
