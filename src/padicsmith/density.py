@@ -12,23 +12,24 @@ characterized percentage ranges over every class that contains at least
 one characterized matrix.
 
 The count is exact, but most matrices are not classified themselves:
-each is counted through a representative with a sorted diagonal.
+each is counted through a representative with sorted row keys.  The key
+of row i is (a_ii, the sorted off-diagonal entries of row i).
 Permutation similarity P A P^T keeps every entry in [0, p^m) and
 preserves the characteristic polynomial and the Smith form, so both
 predicates, the determinant filter and the partition key are constant
-on its orbits.  For a fixed arrangement of a diagonal, one such
-similarity maps the matrices with that diagonal one-to-one onto the
-matrices with the sorted diagonal.  So the walk classifies only the
-representatives whose diagonal is non-decreasing and counts each with
-weight n!/prod(multiplicity!) of its diagonal values: the number of
-arrangements it stands for.  Transposition is a second exact symmetry:
-A -> A^T keeps the diagonal, the characteristic polynomial and the Smith
-form, and swaps a01 with a10.  So for n >= 2 only representatives with
-a01 <= a10 are classified (the other off-diagonal entries over the full
-box); one with a01 < a10 also stands for its transpose and counts twice.
-The representatives of one sorted diagonal are the unit of work: the
-walk tallies one diagonal after another, and with workers each diagonal
-is one task.
+on its orbits.  It moves row i, with its key unchanged, to position
+pi(i), so for a fixed arrangement of keys one such similarity maps the
+matrices with that arrangement one-to-one onto the matrices with the
+keys sorted.  So the walk classifies only the representatives whose row
+keys are non-decreasing, and counts each with weight
+n!/prod(multiplicity!) of its keys: the number of arrangements it stands
+for.  Sorted keys imply a sorted diagonal.  Transposition is an exact
+symmetry too, but A^T's row keys are A's column keys, so the key-sorted
+set is not closed under it and no transposition rule is combined with
+it.  Against the box, (2,1,4) classifies 10.6 times fewer matrices,
+(3,1,3) 5.0 times and n = 2 cells about 2 times.  The representatives
+whose row 0 has one key are the unit of work: with workers each first
+key is one task.
 
 Each matrix classified one by one is reduced to its valuation signature
 by the minor kernel (padicsmith.kernel).  A box has few distinct
@@ -48,8 +49,8 @@ e_k < e_{k+1}, and characterized when that holds at every k.
 For m >= 2 the walk runs over residue classes, not matrices.  The
 matrices congruent to one A0 = A mod p, its p^((m-1) n^2) lifts, form a
 class, and the classes are walked over the representatives of the
-box over [0, p) with the same weights: P(A0 + pB)P^T and transposition map
-the lifts of A0 one-to-one onto the lifts of its image.  Each f_k mod p
+box over [0, p) with the same weights: P(A0 + pB)P^T maps the lifts of
+A0 one-to-one onto the lifts of its image.  Each f_k mod p
 and the rank of A0 mod p (the number of Delta_k equal to 0) are read
 off A0's own signature, and split the classes into strata:
 
@@ -83,10 +84,10 @@ off A0's own signature, and split the classes into strata:
   P A0 P^T or P A0^T P^T (_similarity_key).
 
 Both memos are keyed on a permuted copy of the class, not a hash, and
-live for one _tally call: one sorted diagonal per pool task, so workers
-lose the reuse across diagonals that the serial walk gets.  At (2,2,3)
-the walk computes the lifts of 13 of its 105 rank 2 classes and of 9 of
-its 20 rank 1 classes, one per orbit.
+live for one _tally call: one first-row key per pool task, so workers
+lose the reuse across first keys that the serial walk gets.  At (2,2,3)
+the walk computes the lifts of 13 of its 79 rank 2 classes and of 9 of
+its 15 rank 1 classes, one per orbit.
 
 The det filter is read off the key, val_p(det) = e_1 + ... + e_n, so it
 need not be tallied separately.
@@ -106,7 +107,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, combinations_with_replacement, permutations, product
+from itertools import accumulate, chain, combinations_with_replacement, permutations, product
 from math import comb, factorial, prod
 from operator import itemgetter
 
@@ -117,15 +118,18 @@ from .kernel import _VAL_OF_ZERO, _deep_valuations, _signature_valuations, _sign
 DEFAULT_BUDGET = 2**30
 
 # Fewest matrices classified one by one for which enumerate_density starts
-# workers.  Two workers take some 15-30 ms to start and merge (2 vCPUs,
-# CPython 3.11, one sorted diagonal per task).  They lose on every cell of
-# the density table, up to (2,2,3), which counts 98304 (14-19 ms serially,
-# 23-27 ms on two), and win from (5,1,3), which counts 328125 (240-255 ms
-# serially, 160-180 ms on two).  For m >= 2 the count takes every lift of
-# every class, far more than the walk classifies once per orbit, and a
-# task reuses lift work only within its own diagonal; the cells past the
-# threshold still win on two: (2,3,3) takes 3.41 s serially and 2.34 s on
-# two, (3,2,3) 1.84 s and 1.68 s (medians of 3 fresh processes).
+# workers.  Two workers take some 30-50 ms to start and merge (2 vCPUs,
+# CPython 3.11, one first-row key per task).  They lose on every cell of
+# the density table, up to (2,2,3), which counts 71680 (11 ms serially,
+# 50 ms on two), and win at (3,1,4), which counts 2293173 (2.18 s
+# serially, 1.34 s on two).  (5,1,3), which counts 339725, is at the
+# break-even: 0.19 s serially and 0.29 s on two, on a host where two
+# serial runs side by side each took 0.29-0.39 s.  For m >= 2 the count
+# takes every lift of every class, far more than the walk classifies once
+# per orbit, and a task reuses lift work only within its own first-row
+# key, the first of which holds most rank-1 orbits: (2,3,3) takes 2.28 s
+# serially and 1.97 s on two, (3,2,3) 1.25 s and 1.24 s (medians of 3
+# fresh processes).
 _POOL_MIN_ONE_BY_ONE = 2**17
 
 # gl_count checks the closed form against an exhaustive count up to this many matrices
@@ -289,60 +293,86 @@ def classify_residue_matrix(
 # enumeration and tallies
 # ---------------------------------------------------------------------------
 
-def _arrangements(diag: tuple[int, ...]) -> int:
-    """Number of distinct orderings of a diagonal: n! / prod(multiplicity!)."""
-    return factorial(len(diag)) // prod(factorial(c) for c in Counter(diag).values())
+def _arrangements(items: tuple) -> int:
+    """Number of distinct orderings of a tuple: len! / prod(multiplicity!)."""
+    return factorial(len(items)) // prod(map(factorial, map(items.count, set(items))))
+
+
+def _row_keys(q: int, n: int) -> list[tuple[int, tuple[int, ...]]]:
+    """The row keys of the n x n box over [0, q) in increasing order: a
+    row's diagonal entry, then its off-diagonal entries sorted."""
+    return [(d, rest) for d in range(q) for rest in combinations_with_replacement(range(q), n - 1)]
 
 
 def _representative_count(q: int, n: int) -> int:
-    """Number of representatives of the n x n box over [0, q): sorted
-    diagonals x (a01 <= a10) pairs x the other off-diagonal digits."""
-    if n == 1:
-        return q
-    return comb(q + n - 1, n) * comb(q + 1, 2) * q ** (n * n - n - 2)
+    """Number of representatives of the n x n box over [0, q): the matrices
+    whose row keys are non-decreasing.
+
+    A key (d, rest) stands for the _arrangements(rest) = r rows at each
+    position whose off-diagonal entries are an ordering of rest, so the
+    count is the coefficient of t^n in the product over the keys of
+    1/(1 - r t).  The q keys of one rest share r, and the a keys with one r
+    contribute 1/(1 - r t)^a = sum_j C(a + j - 1, j) r^j t^j.
+    """
+    coeffs = [1] + [0] * n  # of t^0 .. t^n
+    for r, rests in Counter(map(_arrangements, combinations_with_replacement(range(q), n - 1))).items():
+        a = q * rests
+        coeffs = [sum(coeffs[j - i] * comb(a + i - 1, i) * r**i for i in range(j + 1)) for j in range(n + 1)]
+    return coeffs[n]
 
 
 def _walk(groups):
-    """The matrices product(*group) of each group, chained, as (prefix, lasts) runs.
+    """The matrices of each group, chained, as (prefix, lasts, weights) runs.
 
-    The last factor of a group is a sequence of last rows, so a run is
-    one prefix, a tuple of rows 0 .. n-2, with all of the group's last
-    rows.
+    A group is (rows 0, ..., rows n-2, lasts, weights): every prefix in
+    the product of its row lists, a tuple of rows 0 .. n-2, runs with all
+    of the group's last rows, and the matrix with last row lasts[j]
+    stands for weights[j] matrices.
     """
-    for *heads, lasts in groups:
+    for *heads, lasts, weights in groups:
         for prefix in product(*heads):
-            yield prefix, lasts
+            yield prefix, lasts, weights
 
 
-def _blocks(q: int, n: int, diag: tuple[int, ...]):
-    """The representatives of the n x n box over [0, q) with sorted diagonal diag.
+def _blocks(q: int, n: int, firsts: Iterable[tuple[int, tuple[int, ...]]] | None = None):
+    """The representatives of the n x n box over [0, q) whose row 0 has a
+    key in firsts (every key by default), as _walk groups.
 
-    Yields (runs, weight) per block: runs is a _walk over the block's
-    (prefix, lasts) runs, in which each matrix stands for weight
-    matrices.  A representative has a non-decreasing diagonal and
-    a01 <= a10.  Those with a01 < a10 form the strict block, those with
-    a01 = a10 the tied one; each block is ordered by (a01, rest of row 0,
-    a10, rest of row 1, rows 2 .. n-1 row-major), last digit fastest.  A
-    representative stands for the n!/prod(multiplicity!) diagonal
-    arrangements that permutation similarity reaches, times 2 for its
-    transpose when a01 < a10.
+    A representative has non-decreasing row keys (_row_keys) and stands
+    for the _arrangements of its keys: the matrices that permutation
+    similarity reaches by reordering its rows.  Each non-decreasing key
+    tuple of rows 0 .. n-2 is one group, whose last rows are those with a
+    key at least row n-2's, one slice of a key-sorted list cut when the
+    group is reached.  One with a greater key stands for n times the
+    tuple's arrangements; one with an equal key, whose multiplicity it
+    raises by 1, for that divided by the new multiplicity.
     """
-    weight = _arrangements(diag)
-    if n == 1:
-        yield _walk([([diag],)]), weight
+    fills: dict = {}  # sorted off-diagonal entries -> their orderings
+    for f in product(range(q), repeat=n - 1):
+        fills.setdefault(tuple(sorted(f)), []).append(f)
+    rests = sorted(fills)  # key k is (k // len(rests), rests[k % len(rests)]), as in _row_keys
+    # rows[i]: every row of the box placed as row i, its diagonal entry at
+    # index i, in key order; those with key k are rows[i][bounds[k]:bounds[k + 1]]
+    rows = [[(*f[:i], d, *f[i:]) for d in range(q) for rest in rests for f in fills[rest]] for i in range(n)]
+    bounds = [0, *accumulate([len(fills[rest]) for rest in rests] * q)]
+    indices = tuple(range(q * len(rests)))
+    heads = indices if firsts is None else sorted(d * len(rests) + rests.index(rest) for d, rest in firsts)
+    *prefixes, lasts = rows
+    if n == 1:  # row 0 is the last row, one per key
+        chosen = [lasts[k] for k in heads]
+        yield chosen, [1] * len(chosen)
         return
-    d0, d1 = diag[:2]
-    # rows 0 and 1 indexed by a01 and a10, each over its other fills;
-    # row i >= 2 runs over its q^(n-1) off-diagonal fills around diag[i]
-    row0 = [[(d0, x, *f) for f in product(range(q), repeat=n - 2)] for x in range(q)]
-    row1 = [[(y, d1, *f) for f in product(range(q), repeat=n - 2)] for y in range(q)]
-    rest = [[(*f[:i], d, *f[i:]) for f in product(range(q), repeat=n - 1)] for i, d in enumerate(diag) if i >= 2]
-    # one group per a01 in each block: row 1 over every a10 > a01
-    # (strict, empty for a01 = q - 1), then with a10 = a01 (tied)
-    strict = [(row0[x], [r for y in range(x + 1, q) for r in row1[y]], *rest) for x in range(q - 1)]
-    tied = [(row0[x], row1[x], *rest) for x in range(q)]
-    yield _walk(strict), 2 * weight
-    yield _walk(tied), weight
+    for k0 in heads:
+        for tail in combinations_with_replacement(indices[k0:], n - 2):
+            ks = (k0, *tail)
+            k = ks[-1]
+            greater = n * _arrangements(ks)
+            equal = [greater // (ks.count(k) + 1)] * (bounds[k + 1] - bounds[k])
+            yield (
+                *(row[bounds[j] : bounds[j + 1]] for row, j in zip(prefixes, ks)),
+                lasts[bounds[k] :],
+                equal + [greater] * (len(lasts) - bounds[k + 1]),
+            )
 
 
 def _lifts(row, p: int, m: int) -> list[tuple[int, ...]]:
@@ -411,45 +441,45 @@ def _similarity_key(cls) -> tuple[tuple[int, ...], ...]:
     return min(tuple(map(order, order(a))) for a in (cls, tuple(zip(*cls))) for order in orders)
 
 
-def _count_outcomes(tally: Counter, runs, weight: int, p: int, sigs, vt) -> None:
+def _count_outcomes(tally: Counter, runs, p: int, sigs, vt) -> None:
     """Add the outcome (characterized, correspondent, partition_key) of
-    each matrix of a _walk to tally, weight times; each distinct
-    signature is decided once."""
-    counts = Counter(chain.from_iterable(sigs(prefix, lasts, vt) for prefix, lasts in runs))
-    for sig, count in counts.items():
+    each matrix of a _walk to tally, with its weight; each distinct
+    signature is decided once per weight it comes with."""
+    counts = Counter(chain.from_iterable(zip(sigs(prefix, lasts, vt), weights) for prefix, lasts, weights in runs))
+    for (sig, weight), count in counts.items():
         tally[_outcome(sig, p)] += weight * count
 
 
 def _lift_outcomes(cls, p: int, m: int, sigs, vt) -> Counter:
     """Outcomes of the p^((m-1) n^2) lifts of a class mod p, each classified."""
+    *heads, lasts = [_lifts(row, p, m) for row in cls]
     outcomes: Counter = Counter()
-    _count_outcomes(outcomes, _walk([[_lifts(row, p, m) for row in cls]]), 1, p, sigs, vt)
+    _count_outcomes(outcomes, _walk([(*heads, lasts, [1] * len(lasts))]), p, sigs, vt)
     return outcomes
 
 
-def _box_tally(p: int, m: int, n: int, diags: Iterable[tuple[int, ...]] | None = None) -> Counter:
-    """Outcomes of the box over [0, p^m), from its representatives with a sorted diagonal in
-    diags (all by default), each classified and weighted; verify theorem1 walks the whole box."""
+def _box_tally(p: int, m: int, n: int, firsts: Iterable[tuple[int, tuple[int, ...]]] | None = None) -> Counter:
+    """Outcomes of the box over [0, p^m), from its representatives whose row 0 has a key in
+    firsts (all by default), each classified and weighted; verify theorem1 walks the whole box."""
     sigs, vt = _signatures(n), _valuation_table(p, m, n)
     tally: Counter = Counter()
-    for diag in combinations_with_replacement(range(p**m), n) if diags is None else diags:
-        for runs, weight in _blocks(p**m, n, diag):
-            _count_outcomes(tally, runs, weight, p, sigs, vt)
+    _count_outcomes(tally, _walk(_blocks(p**m, n, firsts)), p, sigs, vt)
     return tally
 
 
-def _tally(args: tuple[int, int, int, Iterable[tuple[int, ...]]]) -> Counter:
-    """Tally the representatives of the box over [0, p) with a sorted diagonal in diags.
+def _tally(args: tuple[int, int, int, Iterable[tuple[int, tuple[int, ...]]] | None]) -> Counter:
+    """Tally the representatives of the box over [0, p) whose row 0 has a key in firsts.
 
     Returns a Counter of outcomes (characterized, correspondent, partition_key),
     each counted with its weight: for m = 1 by _box_tally, for m >= 2 as classes
     A mod p whose p^((m-1) n^2) lifts are counted by the stratum of their rank
     mod p (see the module docstring).  Only ranks 1 .. n-2 classify lifts one by
     one, and the lift work of ranks 1 .. n-1 runs once per orbit of the classes.
+    firsts of None is every key.
     """
-    p, m, n, diags = args
+    p, m, n, firsts = args
     if m == 1:
-        return _box_tally(p, 1, n, diags)
+        return _box_tally(p, 1, n, firsts)
     sigs, vt, vt1 = _signatures(n), _valuation_table(p, m, n), _valuation_table(p, 1, n)
     tally: Counter = Counter()
     units = (0,) * (n - 1)
@@ -457,31 +487,30 @@ def _tally(args: tuple[int, int, int, Iterable[tuple[int, ...]]]) -> Counter:
     # the per-lift work of each class, once per orbit of its stratum's symmetry
     deep_keys: dict = {}  # by _equivalence_key: partition keys of the lifts
     lift_outcomes: dict = {}  # by _similarity_key: outcomes of the lifts
-    for runs, weight in chain.from_iterable(_blocks(p, n, diag) for diag in diags):
-        for prefix, lasts in runs:
-            for last, sig in zip(lasts, sigs(prefix, lasts, vt1)):
-                cls = (*prefix, last)
-                rank = sig[n:].count(0)  # Delta_k = 0 iff some k x k minor is a unit
-                char = sig[: n - 1] == units  # f_1 .. f_{n-1} units
-                if rank == n:
-                    tally[char, True, (n, *units, 0)] += weight * class_size
-                elif rank == 0:
-                    below = _tally((p, m - 1, n, combinations_with_replacement(range(p), n)))
-                    for (c, r, (k, *exps)), w in below.items():
-                        tally[c, r, (k, *(e + 1 for e in exps))] += weight * w
-                elif rank == n - 1:
-                    corr = sig[n - 2] == 0  # f_{n-1} a unit
-                    rep = _equivalence_key(cls)
-                    if rep not in deep_keys:
-                        deep_keys[rep] = _corank_one_keys(rep, p, m, vt)
-                    for key, w in deep_keys[rep].items():
-                        tally[char, corr, key] += weight * w
-                else:
-                    rep = _similarity_key(cls)
-                    if rep not in lift_outcomes:
-                        lift_outcomes[rep] = _lift_outcomes(rep, p, m, sigs, vt)
-                    for outcome, w in lift_outcomes[rep].items():
-                        tally[outcome] += weight * w
+    for prefix, lasts, weights in _walk(_blocks(p, n, firsts)):
+        for last, sig, weight in zip(lasts, sigs(prefix, lasts, vt1), weights):
+            cls = (*prefix, last)
+            rank = sig[n:].count(0)  # Delta_k = 0 iff some k x k minor is a unit
+            char = sig[: n - 1] == units  # f_1 .. f_{n-1} units
+            if rank == n:
+                tally[char, True, (n, *units, 0)] += weight * class_size
+            elif rank == 0:
+                below = _tally((p, m - 1, n, None))
+                for (c, r, (k, *exps)), w in below.items():
+                    tally[c, r, (k, *(e + 1 for e in exps))] += weight * w
+            elif rank == n - 1:
+                corr = sig[n - 2] == 0  # f_{n-1} a unit
+                rep = _equivalence_key(cls)
+                if rep not in deep_keys:
+                    deep_keys[rep] = _corank_one_keys(rep, p, m, vt)
+                for key, w in deep_keys[rep].items():
+                    tally[char, corr, key] += weight * w
+            else:
+                rep = _similarity_key(cls)
+                if rep not in lift_outcomes:
+                    lift_outcomes[rep] = _lift_outcomes(rep, p, m, sigs, vt)
+                for outcome, w in lift_outcomes[rep].items():
+                    tally[outcome] += weight * w
     return tally
 
 
@@ -523,11 +552,11 @@ def enumerate_density(
     """Count every n x n matrix over [0, p^m) and tally the densities.
 
     The walk runs over the representatives of the box over [0, p), each
-    weighted by its number of diagonal arrangements: single matrices for
+    weighted by its number of row-key arrangements: single matrices for
     m = 1, classes mod p for m >= 2 (see the module docstring).  With
-    workers, each sorted diagonal is one task, handed to the next free
+    workers, each key of row 0 is one task, handed to the next free
     worker, and the tallies are summed, so the result is independent of
-    thread count.  No more workers start than there are diagonals or
+    thread count.  No more workers start than there are row keys or
     usable CPUs.  Raises BudgetExceededError when the full space
     (p^m)^(n^2) is larger than budget, however few of its matrices are
     classified one by one, and UnsupportedSizeError past n = 6, both
@@ -547,13 +576,12 @@ def enumerate_density(
     # representative for m = 1, and for m >= 2 at most every lift of a
     # class, none at n <= 2, where every class is counted whole.
     one_by_one = reps if m == 1 else reps * p ** ((m - 1) * n * n) if n > 2 else 0
-    diags = tuple(combinations_with_replacement(range(p), n))
     if threads == 1 or one_by_one < _POOL_MIN_ONE_BY_ONE:
-        tally = _tally((p, m, n, diags))
+        tally = _tally((p, m, n, None))
     else:
         import multiprocessing as mp
 
-        tasks = [(p, m, n, (diag,)) for diag in diags]
+        tasks = [(p, m, n, (key,)) for key in _row_keys(p, n)]
         with mp.Pool(min(threads, len(tasks), _usable_cpus())) as pool:
             tally = sum(pool.imap(_tally, tasks, chunksize=1), Counter())
     weight = sum(tally.values())

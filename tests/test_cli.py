@@ -459,8 +459,8 @@ def test_verify_theorem1_pinned_lines(capsys, p, m, n, total):
 
 def test_verify_theorem1_classifies_representatives_not_matrices(monkeypatch, capsys):
     # (2,2,3) has 262144 matrices; the walk classifies only the
-    # representatives with a sorted diagonal and a01 <= a10, each through
-    # the signature kernel, and never runs analyze or Berkowitz
+    # representatives with non-decreasing row keys, each through the
+    # signature kernel, and never runs analyze or Berkowitz
     import padicsmith.classify as classify
     import padicsmith.cli as cli
     import padicsmith.density as density
@@ -485,7 +485,7 @@ def test_verify_theorem1_classifies_representatives_not_matrices(monkeypatch, ca
     monkeypatch.setattr(density, "_signatures", counting)
     assert main(["verify", "--suite", "theorem1", "--p", "2", "--m", "2", "--n", "3"]) == 0
     assert "262144 matrices" in capsys.readouterr().out
-    assert sum(classified) == density._representative_count(4, 3) == 51200
+    assert sum(classified) == density._representative_count(4, 3) == 47344
 
 
 def test_verify_theorem1_names_the_failing_valuations(monkeypatch, capsys):

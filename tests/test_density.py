@@ -92,11 +92,10 @@ def test_thread_counts_agree(monkeypatch):
     # These cells are too small to start workers by themselves, so the
     # pool threshold is lowered to one matrix classified one by one.
     # (3,2,2) counts every class whole, so it still runs serially for any
-    # worker count; the others run the pool, one sorted diagonal per
-    # task.  (2,1,4) deals its 5 diagonals unevenly to 2 or 3 workers,
-    # (3,1,3) walks the strict and tied pair blocks of an n=3 cell in
-    # each task, (2,2,3) classifies the rank 1 lifts of its classes mod 2
-    # one by one, and (2,1,2) has 3 diagonals for 4 workers
+    # worker count; the others run the pool, one first-row key per task.
+    # (2,1,4) deals its 8 keys unevenly to 2 or 3 workers, (3,1,3) walks
+    # the 18 keys of an n=3 cell, (2,2,3) classifies the rank 1 lifts of
+    # its classes mod 2 one by one, and (2,1,2) has 4 keys for 4 workers
     import padicsmith.density as density
 
     monkeypatch.setattr(density, "_POOL_MIN_ONE_BY_ONE", 1)
@@ -113,19 +112,20 @@ def test_thread_counts_agree(monkeypatch):
 # the A mod p = 0 class that reuses the tally of (3,1,2).
 @pytest.mark.parametrize("cell", [(3, 1, 2), (3, 1, 3), (2, 1, 4), (2, 2, 3), (3, 2, 2)])
 def test_per_diagonal_tallies_sum_to_the_whole(cell):
+    # the pool's unit is the key of row 0: the tallies of the tasks, one
+    # first-row key each, sum to the serial walk's
     import padicsmith.density as density
 
     p, m, n = cell
-    diags = list(combinations_with_replacement(range(p), n))
-    whole = density._tally((p, m, n, diags))
+    whole = density._tally((p, m, n, None))
     assert sum(whole.values()) == (p**m) ** (n * n)
-    assert sum((density._tally((p, m, n, (diag,))) for diag in diags), Counter()) == whole
+    assert sum((density._tally((p, m, n, (key,))) for key in density._row_keys(p, n)), Counter()) == whole
 
 
 @pytest.mark.parametrize("cell", [(3, 1, 3), (2, 2, 3)])
 def test_pool_gets_one_task_per_sorted_diagonal(monkeypatch, cell):
-    # a free worker takes the next diagonal: C(p+n-1, n) tasks of one
-    # diagonal each, in order, not one precomputed share per worker
+    # a free worker takes the next key of row 0: p C(p+n-2, n-1) tasks of
+    # one first-row key each, in order, not one precomputed share per worker
     import padicsmith.density as density
 
     tasks = []
@@ -151,12 +151,13 @@ def test_pool_gets_one_task_per_sorted_diagonal(monkeypatch, cell):
     monkeypatch.setattr(density, "_POOL_MIN_ONE_BY_ONE", 1)
     monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
     assert enumerate_density(p, m, n, threads=2) == serial
-    assert len(tasks) == comb(p + n - 1, n)
-    assert tasks == [(p, m, n, (diag,)) for diag in combinations_with_replacement(range(p), n)]
+    assert len(tasks) == p * comb(p + n - 2, n - 1)
+    keys = [(d, rest) for d in range(p) for rest in combinations_with_replacement(range(p), n - 1)]
+    assert tasks == [(p, m, n, (key,)) for key in keys]
 
 
 def test_pool_starts_no_more_workers_than_usable_cpus(monkeypatch):
-    # (3,1,3) has 10 sorted diagonals; a fake Pool records the worker count
+    # (3,1,3) has 18 first-row keys; a fake Pool records the worker count
     import padicsmith.density as density
 
     started = []
@@ -177,10 +178,10 @@ def test_pool_starts_no_more_workers_than_usable_cpus(monkeypatch):
     serial = enumerate_density(3, 1, 3)
     monkeypatch.setattr(density, "_POOL_MIN_ONE_BY_ONE", 1)
     monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
-    for cpus, threads in [(2, 5151), (3, 4), (16, 5151)]:
+    for cpus, threads in [(2, 5151), (3, 4), (32, 5151)]:
         monkeypatch.setattr(density, "_usable_cpus", lambda: cpus)
         assert enumerate_density(3, 1, 3, threads=threads) == serial
-    assert started == [2, 3, 10]
+    assert started == [2, 3, 18]
 
 
 def test_no_pool_when_every_class_is_counted_whole(monkeypatch):
@@ -195,8 +196,8 @@ def test_no_pool_when_every_class_is_counted_whole(monkeypatch):
 
 
 def test_no_pool_below_the_break_even(monkeypatch):
-    # (2,1,4) classifies 15360 representatives and (2,2,3) counts at most
-    # 98304 lifts one by one; serially they take some 25 ms and 15 ms, and
+    # (2,1,4) classifies 6170 representatives and (2,2,3) counts at most
+    # 71680 lifts one by one; serially they take some 12 ms and 11 ms, and
     # two workers lose to that (2 vCPUs)
     def no_pool(*args, **kwargs):
         raise AssertionError("multiprocessing.Pool started")
@@ -204,6 +205,70 @@ def test_no_pool_below_the_break_even(monkeypatch):
     serial = [enumerate_density(2, 1, 4), enumerate_density(2, 2, 3)]
     monkeypatch.setattr(multiprocessing, "Pool", no_pool)
     assert [enumerate_density(2, 1, 4, threads=2), enumerate_density(2, 2, 3, threads=2)] == serial
+
+
+@pytest.mark.parametrize("cell", [(5, 1, 3), (3, 1, 4)])
+def test_pool_past_the_break_even(monkeypatch, cell):
+    # (5,1,3) classifies 339725 representatives and (3,1,4) 2293173, past
+    # the threshold; a fake Pool records the worker count and stops there
+    import padicsmith.density as density
+
+    started = []
+
+    class Started(Exception):
+        pass
+
+    def recording_pool(processes):
+        started.append(processes)
+        raise Started
+
+    monkeypatch.setattr(multiprocessing, "Pool", recording_pool)
+    monkeypatch.setattr(density, "_usable_cpus", lambda: 2)
+    with pytest.raises(Started):
+        enumerate_density(*cell, threads=2)
+    assert started == [2]
+
+
+def _has_sorted_row_keys(rows):
+    """Whether the keys (a_ii, sorted off-diagonal entries of row i) are non-decreasing."""
+    keys = [(row[i], sorted(row[:i] + row[i + 1 :])) for i, row in enumerate(map(tuple, rows))]
+    return keys == sorted(keys)
+
+
+@pytest.mark.parametrize("q, n", [(2, 2), (3, 2), (4, 2), (2, 3), (3, 3), (2, 4)])
+def test_representatives_are_the_matrices_with_sorted_row_keys(monkeypatch, q, n):
+    # brute force over the box: the matrices with non-decreasing row keys
+    # are counted by _representative_count and are exactly the matrices
+    # the walk sends through the signature kernel, each once
+    import padicsmith.density as density
+
+    boxed = [
+        tuple(flat[i * n : (i + 1) * n] for i in range(n)) for flat in product(range(q), repeat=n * n)
+    ]
+    want = Counter(rows for rows in boxed if _has_sorted_row_keys(rows))
+    real, classified = density._signatures, Counter()
+
+    def counting(size):
+        sigs = real(size)
+
+        def counted(prefix, lasts, vt):
+            classified.update((*prefix, last) for last in lasts)
+            return sigs(prefix, lasts, vt)
+
+        return counted
+
+    monkeypatch.setattr(density, "_signatures", counting)
+    p, m = {2: (2, 1), 3: (3, 1), 4: (2, 2)}[q]
+    density._box_tally(p, m, n)
+    assert sum(want.values()) == density._representative_count(q, n) == sum(classified.values())
+    assert classified == want
+
+
+@pytest.mark.parametrize("q, n", [(2, 1), (3, 1), (7, 1), (2, 5), (5, 3)])
+def test_representative_weights_sum_to_the_box(q, n):
+    import padicsmith.density as density
+
+    assert sum(sum(weights) for _, _, weights in density._walk(density._blocks(q, n))) == q ** (n * n)
 
 
 @lru_cache(maxsize=None)
@@ -539,7 +604,7 @@ def test_orbit_keys_are_permuted_copies_constant_on_orbits(rng, n, p):
 
 
 def test_each_per_lift_class_runs_once_per_orbit(monkeypatch):
-    # (2,2,3) walks 105 classes of rank 2 mod 2 and 20 of rank 1.  The
+    # (2,2,3) walks 79 classes of rank 2 mod 2 and 15 of rank 1.  The
     # lifts of a rank 2 class are counted once per orbit under row and
     # column permutations and transposition, and those of a rank 1 class
     # once per orbit under permutation similarity and transposition; the
@@ -551,7 +616,7 @@ def test_each_per_lift_class_runs_once_per_orbit(monkeypatch):
     for flat in product(range(p), repeat=n * n):
         cls = tuple(flat[i * n : (i + 1) * n] for i in range(n))
         rank = classify_residue_matrix(cls, p, 1)[2][1:].count(0)
-        if rank in walked and list(flat[:: n + 1]) == sorted(flat[:: n + 1]) and cls[0][1] <= cls[1][0]:
+        if rank in walked and _has_sorted_row_keys(cls):
             walked[rank].append(cls)
     orders = list(permutations(range(n)))
     equivalence = {
@@ -561,7 +626,7 @@ def test_each_per_lift_class_runs_once_per_orbit(monkeypatch):
     similarity = {
         frozenset(_permuted(a, o, o) for a in (cls, _transposed(cls)) for o in orders) for cls in walked[1]
     }
-    assert (len(walked[2]), len(equivalence), len(walked[1]), len(similarity)) == (105, 13, 20, 9)
+    assert (len(walked[2]), len(equivalence), len(walked[1]), len(similarity)) == (79, 13, 15, 9)
 
     want = enumerate_density(p, 2, n)
     calls = Counter()
@@ -583,8 +648,8 @@ def test_each_per_lift_class_runs_once_per_orbit(monkeypatch):
 
 def test_three_adic_n3_cell_with_two_digit_lifts():
     # Beyond brute force (3^18 matrices); at p = 3 the rank 2 orbits span
-    # several sorted diagonals, so the serial walk reuses their lift counts
-    # across diagonals.  The digest is the sha256 of the sorted partition
+    # several first-row keys, so the serial walk reuses their lift counts
+    # across keys.  The digest is the sha256 of the sorted partition
     # classes, (key, size, char_count) each.
     row = enumerate_density(3, 2, 3)
     assert row.csv_row() == "3,2,3,45.25,86.67,40.15,387420489,175310185,335777317"
