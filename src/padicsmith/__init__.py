@@ -8,9 +8,9 @@ exhaustive density enumeration over residue matrices.
 
 from .charpoly import CharPoly, char_poly
 from .classify import ClassificationReport, analyze
-from .density import Convention, DensityRow, enumerate_density
 from .exact import (
     INFINITY,
+    Convention,
     IntMatrix,
     MatrixLike,
     MatrixParseError,
@@ -23,7 +23,28 @@ from .exact import (
 )
 from .newton import NewtonPolygon, eigenvalue_valuations, newton_polygon
 from .smith import LocalSmithProfile, SmithData, determinantal_divisors, local_profile, smith_form
-from .transform import TransformSample, sample_correspondent, verify_rem_stability
+
+# The density and transform names are resolved on first use, so that
+# importing the package, as a cold `padicsmith analyze` does, loads
+# neither module.
+_LAZY = {
+    "DensityRow": "density",
+    "enumerate_density": "density",
+    "TransformSample": "transform",
+    "sample_correspondent": "transform",
+    "verify_rem_stability": "transform",
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f"{__name__}.{_LAZY[name]}"), name)
+    globals()[name] = value
+    return value
+
 
 __all__ = [
     "CharPoly",

@@ -7,25 +7,26 @@ package: det(xI - A) = x^n + f_1 x^(n-1) + ... + f_n, so f_n is
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from operator import mul
 
-from .exact import MatrixLike, UnsupportedSizeError, _as_matrix, _det_rows
+from .exact import MatrixLike, UnsupportedSizeError, _as_matrix, _det_rows, _Frozen
 
 ORACLE_MAX_N = 5
 
 
-@dataclass(frozen=True)
-class CharPoly:
+class CharPoly(_Frozen):
     """Coefficients (f_1, ..., f_n) of det(xI - A), leading term implicit."""
 
+    __slots__ = ("n", "coeffs")
     n: int
     coeffs: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if len(self.coeffs) != self.n:
-            raise ValueError(f"expected {self.n} coefficients, got {len(self.coeffs)}")
+    def __init__(self, n: int, coeffs: tuple[int, ...]) -> None:
+        if len(coeffs) != n:
+            raise ValueError(f"expected {n} coefficients, got {len(coeffs)}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "coeffs", coeffs)
 
     def f(self, i: int) -> int:
         """Coefficient of x^(n-i), 1-based."""

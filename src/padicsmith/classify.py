@@ -27,7 +27,7 @@ decide the two predicates and check the theorem in _predicates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import accumulate
 
 from .charpoly import char_poly
@@ -53,10 +53,15 @@ from .smith import local_profile
 _KERNEL_MAX_N = 4
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
+class ClassificationReport(
+    namedtuple(
+        "ClassificationReport",
+        "p n rank f_vals delta_vals profile eig_vals p_characterized p_correspondent degenerate",
+    )
+):
     """Full evidence bundle for one matrix at one prime."""
 
+    __slots__ = ()
     p: int
     n: int
     rank: int

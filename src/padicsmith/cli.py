@@ -16,18 +16,10 @@ from itertools import groupby
 from pathlib import Path
 
 from .classify import analyze
-from .density import (
-    CSV_HEADER,
-    DEFAULT_BUDGET,
-    Convention,
-    _box_size,
-    _box_tally,
-    enumerate_density,
-    gl_count,
-    orbit_stabilizer_check,
-)
 from .exact import (
+    DEFAULT_BUDGET,
     BudgetExceededError,
+    Convention,
     IntMatrix,
     MatrixParseError,
     UnsupportedSizeError,
@@ -37,12 +29,9 @@ from .exact import (
     val_p,
     valuation_to_json,
 )
-from .transform import (
-    AttemptsExhaustedError,
-    sample_correspondent,
-    single_attempt_success_rate,
-    verify_rem_stability,
-)
+
+# The density and transform modules are imported by the commands that use
+# them, so that a cold `analyze` loads neither.
 
 REM_STABILITY_PRIMES = (2, 3, 5)
 
@@ -98,6 +87,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_density(args: argparse.Namespace) -> int:
+    from .density import CSV_HEADER, enumerate_density
+
     convention = Convention(args.convention)
     row = enumerate_density(
         args.prime,
@@ -122,13 +113,19 @@ def cmd_density(args: argparse.Namespace) -> int:
 
 
 def cmd_transform(args: argparse.Namespace) -> int:
+    from .transform import AttemptsExhaustedError, sample_correspondent
+
     A = _load_matrix(args.matrix)
     seed = args.seed
     if seed is None:
         seed = random.SystemRandom().randrange(2**32)
-    sample = sample_correspondent(
-        A, args.prime, bound=args.bound, max_attempts=args.max_attempts, seed=seed
-    )
+    try:
+        sample = sample_correspondent(
+            A, args.prime, bound=args.bound, max_attempts=args.max_attempts, seed=seed
+        )
+    except AttemptsExhaustedError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     if args.format == "json":
         obj = sample.to_json_obj()
         obj["seed"] = seed
@@ -148,6 +145,8 @@ def cmd_transform(args: argparse.Namespace) -> int:
 
 
 def _check_theorem1(args: argparse.Namespace) -> list[tuple[bool, str]]:
+    from .density import _box_size, _box_tally
+
     p, m, n = args.p or 2, args.m or 1, args.n or 2
     _require_prime(p)
     total = _box_size(p, m, n, args.budget)
@@ -162,6 +161,8 @@ def _check_theorem1(args: argparse.Namespace) -> list[tuple[bool, str]]:
 
 
 def _check_gl_ratio(args: argparse.Namespace) -> list[tuple[bool, str]]:
+    from .density import gl_count
+
     checks = []
     primes = [args.p] if args.p else [2, 3, 5, 7, 11]
     for p in primes:
@@ -177,6 +178,8 @@ def _check_gl_ratio(args: argparse.Namespace) -> list[tuple[bool, str]]:
 
 
 def _check_rem_stability(args: argparse.Namespace) -> list[tuple[bool, str]]:
+    from .transform import verify_rem_stability
+
     trials = args.trials or 200
     rng = random.Random(args.seed or 0)
     checks = []
@@ -201,6 +204,8 @@ def _check_rem_stability(args: argparse.Namespace) -> list[tuple[bool, str]]:
 
 
 def _check_lemma33(args: argparse.Namespace) -> list[tuple[bool, str]]:
+    from .transform import single_attempt_success_rate
+
     p = args.p or 101
     rep = single_attempt_success_rate(
         args.n or 3, p, args.bound or p, args.trials or 1000, args.seed or 0
@@ -215,6 +220,8 @@ def _check_lemma33(args: argparse.Namespace) -> list[tuple[bool, str]]:
 
 
 def _check_orbit(args: argparse.Namespace) -> list[tuple[bool, str]]:
+    from .density import orbit_stabilizer_check
+
     if args.p or args.m or args.n:
         raise ValueError("the orbit suite runs its fixed cells and takes no --p, --m or --n")
     checks = []
@@ -310,9 +317,6 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except AttemptsExhaustedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (
         MatrixParseError,
         UnsupportedSizeError,

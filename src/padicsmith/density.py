@@ -101,10 +101,8 @@ over pairs of units.
 from __future__ import annotations
 
 import os
-from collections import Counter
+from collections import Counter, namedtuple
 from collections.abc import Iterable
-from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, chain, combinations_with_replacement, permutations, product
@@ -112,37 +110,27 @@ from math import comb, factorial, prod
 from operator import itemgetter
 
 from .classify import _predicates
-from .exact import BudgetExceededError, _det_rows, _require_prime
+from .exact import DEFAULT_BUDGET, BudgetExceededError, Convention, _det_rows, _require_prime
 from .kernel import _VAL_OF_ZERO, _deep_valuations, _signature_valuations, _signatures, _valuation_table
-
-DEFAULT_BUDGET = 2**30
 
 # Fewest matrices classified one by one for which enumerate_density starts
 # workers.  Two workers take some 30-50 ms to start and merge (2 vCPUs,
 # CPython 3.11, one first-row key per task).  They lose on every cell of
 # the density table, up to (2,2,3), which counts 71680 (11 ms serially,
-# 50 ms on two), and win at (3,1,4), which counts 2293173 (2.18 s
-# serially, 1.34 s on two).  (5,1,3), which counts 339725, is at the
-# break-even: 0.19 s serially and 0.29 s on two, on a host where two
-# serial runs side by side each took 0.29-0.39 s.  For m >= 2 the count
-# takes every lift of every class, far more than the walk classifies once
-# per orbit, and a task reuses lift work only within its own first-row
-# key, the first of which holds most rank-1 orbits: (2,3,3) takes 2.28 s
-# serially and 1.97 s on two, (3,2,3) 1.25 s and 1.24 s (medians of 3
-# fresh processes).
-_POOL_MIN_ONE_BY_ONE = 2**17
+# 50 ms on two), and at (5,1,3), which counts 339725 (0.26 s serially,
+# 0.42 s on two).  They win at (2,1,5), which counts 907452 (2.65 s
+# serially, 1.35 s on two), and at (3,1,4), which counts 2293173 (2.18 s
+# serially, 1.34 s on two).  For m >= 2 the count takes every lift of
+# every class, far more than the walk classifies once per orbit, and a
+# task reuses lift work only within its own first-row key, the first of
+# which holds most rank-1 orbits: (2,3,3) takes 2.28 s serially and
+# 1.97 s on two, (3,2,3) 1.25 s and 1.24 s (medians of 3 fresh processes).
+_POOL_MIN_ONE_BY_ONE = 2**19
 
 # gl_count checks the closed form against an exhaustive count up to this many matrices
 GL_EXHAUSTIVE_BUDGET = 2**20
 
 CSV_HEADER = "p,m,n,pct_char,pct_corr,min_pct_char,total,char_count,corr_count"
-
-
-class Convention(str, Enum):
-    """Which matrices form the denominator of a density row."""
-
-    ALL = "all"
-    DET_FILTERED = "det-filtered"
 
 
 def round_half_up_2dec(x: Fraction) -> str:
@@ -154,10 +142,10 @@ def round_half_up_2dec(x: Fraction) -> str:
     return f"{hundredths // 100}.{hundredths % 100:02d}"
 
 
-@dataclass(frozen=True)
-class PartitionCell:
+class PartitionCell(namedtuple("PartitionCell", "size char_count")):
     """One localized-Smith-form class of the residue matrix space."""
 
+    __slots__ = ()
     size: int
     char_count: int
 
@@ -166,8 +154,10 @@ class PartitionCell:
         return Fraction(100 * self.char_count, self.size)
 
 
-@dataclass(frozen=True)
-class DensityRow:
+class DensityRow(
+    namedtuple("DensityRow", "p m n convention total char_count corr_count partitions")
+):
+    __slots__ = ()
     p: int
     m: int
     n: int
@@ -622,8 +612,8 @@ def enumerate_density(
 # group orders and the orbit-stabilizer identity
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GLCountReport:
+class GLCountReport(namedtuple("GLCountReport", "p m n order ratio exhaustive_count")):
+    __slots__ = ()
     p: int
     m: int
     n: int
@@ -667,8 +657,10 @@ def gl_count(p: int, m: int, n: int) -> GLCountReport:
     )
 
 
-@dataclass(frozen=True)
-class OrbitCheckReport:
+class OrbitCheckReport(
+    namedtuple("OrbitCheckReport", "p m exponents class_size pair_count_per_member ok")
+):
+    __slots__ = ()
     p: int
     m: int
     exponents: tuple[int, ...]

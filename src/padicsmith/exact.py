@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 import sys
 from collections.abc import Sequence
-from dataclasses import dataclass
+from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
@@ -25,6 +25,17 @@ class UnsupportedSizeError(ValueError):
 
 class BudgetExceededError(RuntimeError):
     """An exhaustive enumeration would exceed its work budget."""
+
+
+# Largest box, in matrices, that an exhaustive enumeration takes by default
+DEFAULT_BUDGET = 2**30
+
+
+class Convention(str, Enum):
+    """Which matrices form the denominator of a density row."""
+
+    ALL = "all"
+    DET_FILTERED = "det-filtered"
 
 
 _MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -167,22 +178,60 @@ def _val(a: int, p: int) -> Valuation:
     return v
 
 
-@dataclass(frozen=True)
-class IntMatrix:
+class _Frozen:
+    """Base of an immutable value class that validates in its constructor.
+
+    A subclass lists its fields in __slots__ and sets them in __init__
+    with object.__setattr__.  Equality (same class only), the hash, the
+    repr and pickling follow the fields in that order, and assigning or
+    deleting an attribute afterwards raises AttributeError.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({args})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class IntMatrix(_Frozen):
     """A square integer matrix, immutable, entries stored row-major."""
 
+    __slots__ = ("n", "rows")
     n: int
     rows: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"matrix dimension must be >= 1, got {self.n}")
-        if len(self.rows) != self.n or any(len(r) != self.n for r in self.rows):
-            raise ValueError(f"expected {self.n} rows of {self.n} entries")
-        for r in self.rows:
+    def __init__(self, n: int, rows: tuple[tuple[int, ...], ...]) -> None:
+        if n < 1:
+            raise ValueError(f"matrix dimension must be >= 1, got {n}")
+        if len(rows) != n or any(len(r) != n for r in rows):
+            raise ValueError(f"expected {n} rows of {n} entries")
+        for r in rows:
             for x in r:
                 if type(x) is not int:
                     raise ValueError(f"entries must be int, got {x!r}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "rows", rows)
 
     @classmethod
     def from_rows(cls, rows) -> "IntMatrix":

@@ -18,7 +18,7 @@ compares them against its own matrix's data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -32,14 +32,14 @@ class EmptyPolygonError(ValueError):
     """Newton polygon requested for the zero polynomial."""
 
 
-@dataclass(frozen=True)
-class NewtonPolygon:
+class NewtonPolygon(namedtuple("NewtonPolygon", "p degree points")):
     """Lower convex hull data for one polynomial at one prime.
 
     Only the points are stored; the hull vertices are derived from them,
     so a polygon whose vertices disagree with its points cannot exist.
     """
 
+    __slots__ = ()
     p: int
     degree: int
     points: tuple[Point, ...]
@@ -104,14 +104,14 @@ def newton_polygon(f: CharPoly, p: int) -> NewtonPolygon:
     return NewtonPolygon(p=p, degree=n, points=tuple(points))
 
 
-@dataclass(frozen=True)
-class EigenvalueValuations:
+class EigenvalueValuations(namedtuple("EigenvalueValuations", "p values zero_count")):
     """p-adic valuations of the eigenvalues of an integer matrix.
 
     values holds the valuations of the nonzero eigenvalues (sorted,
     exact rationals); zero_count is the multiplicity of the eigenvalue 0.
     """
 
+    __slots__ = ()
     p: int
     values: tuple[Fraction, ...]
     zero_count: int

@@ -19,7 +19,7 @@ Two routes, one per question:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import accumulate
 from math import gcd
 from operator import mul
@@ -27,14 +27,14 @@ from operator import mul
 from .exact import IntMatrix, MatrixLike, _as_matrix, _require_prime
 
 
-@dataclass(frozen=True)
-class SmithData:
+class SmithData(namedtuple("SmithData", "n diag P Q", defaults=(None, None))):
     """Result of a Smith decomposition P @ A @ Q == diag(s), unimodular P, Q."""
 
+    __slots__ = ()
     n: int
     diag: tuple[int, ...]
-    P: IntMatrix | None = None
-    Q: IntMatrix | None = None
+    P: IntMatrix | None
+    Q: IntMatrix | None
 
     @property
     def rank(self) -> int:
@@ -51,10 +51,10 @@ class SmithData:
         return tuple(accumulate(self.invariant_factors, mul))
 
 
-@dataclass(frozen=True)
-class LocalSmithProfile:
+class LocalSmithProfile(namedtuple("LocalSmithProfile", "p exponents")):
     """Valuations (e_1 <= ... <= e_r) of the invariant factors at a prime p."""
 
+    __slots__ = ()
     p: int
     exponents: tuple[int, ...]
 

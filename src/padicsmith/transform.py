@@ -14,8 +14,8 @@ local story.
 from __future__ import annotations
 
 import random
+from collections import namedtuple
 from collections.abc import Iterator
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 
@@ -38,10 +38,10 @@ class AttemptsExhaustedError(RuntimeError):
     """sample_correspondent ran out of attempts."""
 
 
-@dataclass(frozen=True)
-class TransformSample:
+class TransformSample(namedtuple("TransformSample", "p bound attempts U V result report")):
     """A successful sandwich U @ A @ V together with its classification."""
 
+    __slots__ = ()
     p: int
     bound: int
     attempts: int
@@ -159,10 +159,12 @@ def meets_failure_bound(successes: int, trials: int, n: int, p: int) -> bool:
     return shortfall * shortfall <= Fraction(FAILURE_BOUND_SIGMAS**2) * q * (1 - q) / trials
 
 
-@dataclass(frozen=True)
-class SuccessRateReport:
+class SuccessRateReport(
+    namedtuple("SuccessRateReport", "n p bound trials successes floor ok")
+):
     """Lemma 3.3 measured: single seeded attempts against the floor 1 - (n^2+3n)/p."""
 
+    __slots__ = ()
     n: int
     p: int
     bound: int
@@ -207,10 +209,15 @@ def single_attempt_success_rate(
     )
 
 
-@dataclass(frozen=True)
-class StabilityReport:
+class StabilityReport(
+    namedtuple(
+        "StabilityReport",
+        "p m profile reduced_profile f_vals reduced_f_vals a_characterized reduced_characterized",
+    )
+):
     """What survives reduction mod p^m, for m past val_p(det)."""
 
+    __slots__ = ()
     p: int
     m: int
     profile: tuple[int, ...]

@@ -370,8 +370,6 @@ def test_verify_orbit_reports_a_class_size_not_dividing_gl_squared(monkeypatch, 
 
 
 def test_verify_orbit_reports_a_wrong_class_size_from_the_engine(monkeypatch, capsys):
-    import dataclasses
-
     import padicsmith.density as density
 
     real = density.enumerate_density
@@ -379,10 +377,10 @@ def test_verify_orbit_reports_a_wrong_class_size_from_the_engine(monkeypatch, ca
     def one_too_many(*args, **kwargs):
         row = real(*args, **kwargs)
         grown = {
-            diag: dataclasses.replace(cell, size=cell.size + 1)
+            diag: cell._replace(size=cell.size + 1)
             for diag, cell in row.partitions.items()
         }
-        return dataclasses.replace(row, partitions=grown)
+        return row._replace(partitions=grown)
 
     monkeypatch.setattr(density, "enumerate_density", one_too_many)
     assert main(["verify", "--suite", "orbit"]) == 1
@@ -508,12 +506,12 @@ def test_verify_theorem1_names_the_failing_valuations(monkeypatch, capsys):
 
 
 def test_verify_theorem1_refuses_a_box_over_budget(monkeypatch, capsys):
-    import padicsmith.cli as cli
+    import padicsmith.density as density
 
     def never(*args):
         pytest.fail("the box walked although it is over budget")
 
-    monkeypatch.setattr(cli, "_box_tally", never)
+    monkeypatch.setattr(density, "_box_tally", never)
     argv = ["verify", "--suite", "theorem1", "--p", "2", "--m", "3", "--n", "3", "--budget", "1000"]
     assert main(argv) == 2
     captured = capsys.readouterr()
@@ -552,6 +550,24 @@ def test_verify_lemma33_rejects_p_one():
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "p must be prime" in proc.stderr
+
+
+def test_cold_analyze_imports_neither_density_nor_transform(tmp_path):
+    # a one-shot analyze pays for the modules it runs and no others
+    matrix = tmp_path / "a.txt"
+    matrix.write_text("2\n1 2\n3 4\n")
+    env = dict(os.environ)
+    src = str(Path(padicsmith.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = (
+        "import sys\n"
+        "from padicsmith.cli import main\n"
+        f"status = main(['analyze', {str(matrix)!r}, '-p', '3'])\n"
+        "print(status, [m for m in ('padicsmith.density', 'padicsmith.transform') if m in sys.modules])\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 []"
 
 
 def test_verify_lemma33_refuses_a_vacuous_floor(capsys):

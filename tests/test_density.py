@@ -196,20 +196,22 @@ def test_no_pool_when_every_class_is_counted_whole(monkeypatch):
 
 
 def test_no_pool_below_the_break_even(monkeypatch):
-    # (2,1,4) classifies 6170 representatives and (2,2,3) counts at most
-    # 71680 lifts one by one; serially they take some 12 ms and 11 ms, and
-    # two workers lose to that (2 vCPUs)
+    # (2,1,4) classifies 6170 representatives, (2,2,3) counts at most
+    # 71680 lifts one by one and (5,1,3) classifies 339725 representatives;
+    # serially they take some 12 ms, 11 ms and 0.26 s, and two workers lose
+    # to that (2 vCPUs)
     def no_pool(*args, **kwargs):
         raise AssertionError("multiprocessing.Pool started")
 
-    serial = [enumerate_density(2, 1, 4), enumerate_density(2, 2, 3)]
+    cells = [(2, 1, 4), (2, 2, 3), (5, 1, 3)]
+    serial = [enumerate_density(*cell) for cell in cells]
     monkeypatch.setattr(multiprocessing, "Pool", no_pool)
-    assert [enumerate_density(2, 1, 4, threads=2), enumerate_density(2, 2, 3, threads=2)] == serial
+    assert [enumerate_density(*cell, threads=2) for cell in cells] == serial
 
 
-@pytest.mark.parametrize("cell", [(5, 1, 3), (3, 1, 4)])
+@pytest.mark.parametrize("cell", [(2, 1, 5), (3, 1, 4)])
 def test_pool_past_the_break_even(monkeypatch, cell):
-    # (5,1,3) classifies 339725 representatives and (3,1,4) 2293173, past
+    # (2,1,5) classifies 907452 representatives and (3,1,4) 2293173, past
     # the threshold; a fake Pool records the worker count and stops there
     import padicsmith.density as density
 
