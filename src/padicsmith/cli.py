@@ -149,7 +149,7 @@ def _check_theorem1(args: argparse.Namespace) -> list[tuple[bool, str]]:
 
     p, m, n = args.p or 2, args.m or 1, args.n or 2
     _require_prime(p)
-    total = _box_size(p, m, n, args.budget)
+    total = _box_size(p, m, n, DEFAULT_BUDGET if args.budget is None else args.budget)
     head = f"theorem1 p={p} m={m} n={n}"
     try:
         weight = sum(_box_tally(p, m, n).values())
@@ -222,11 +222,10 @@ def _check_lemma33(args: argparse.Namespace) -> list[tuple[bool, str]]:
 def _check_orbit(args: argparse.Namespace) -> list[tuple[bool, str]]:
     from .density import orbit_stabilizer_check
 
-    if args.p or args.m or args.n:
-        raise ValueError("the orbit suite runs its fixed cells and takes no --p, --m or --n")
+    budget = DEFAULT_BUDGET if args.budget is None else args.budget
     checks = []
     for p, m, exponents in ORBIT_CELLS:
-        rep = orbit_stabilizer_check(p, m, exponents, budget=args.budget)
+        rep = orbit_stabilizer_check(p, m, exponents, budget=budget)
         checks.append(
             (
                 rep.ok,
@@ -237,17 +236,22 @@ def _check_orbit(args: argparse.Namespace) -> list[tuple[bool, str]]:
     return checks
 
 
+# each suite with the verify flags it reads; the orbit suite runs ORBIT_CELLS
 VERIFY_SUITES = {
-    "theorem1": _check_theorem1,
-    "gl-ratio": _check_gl_ratio,
-    "rem-stability": _check_rem_stability,
-    "lemma33": _check_lemma33,
-    "orbit": _check_orbit,
+    "theorem1": (_check_theorem1, ("p", "m", "n", "budget")),
+    "gl-ratio": (_check_gl_ratio, ("p", "m", "n")),
+    "rem-stability": (_check_rem_stability, ("p", "n", "trials", "seed")),
+    "lemma33": (_check_lemma33, ("p", "n", "bound", "trials", "seed")),
+    "orbit": (_check_orbit, ("budget",)),
 }
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    checks = VERIFY_SUITES[args.suite](args)
+    check, reads = VERIFY_SUITES[args.suite]
+    for flag in ("p", "m", "n", "bound", "trials", "seed", "budget"):
+        if flag not in reads and getattr(args, flag) is not None:
+            raise ValueError(f"the {args.suite} suite does not read --{flag}")
+    checks = check(args)
     for ok, line in checks:
         print(f"{'PASS' if ok else 'FAIL'} {line}")
     return 0 if all(ok for ok, _ in checks) else 1
@@ -283,7 +287,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=Convention.ALL.value,
     )
     pd.add_argument("--format", choices=("text", "csv", "json"), default="text")
-    pd.add_argument("--threads", type=positive_int, default=1)
+    pd.add_argument(
+        "--threads", type=positive_int, default=1, help="worker processes, for m = 1 cells only (default 1)"
+    )
     pd.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     pd.set_defaults(func=cmd_density)
 
@@ -303,11 +309,12 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help="theorem1 decides both predicates for every matrix of the (p, m, n) box, n <= 6, if it fits --budget",
     )
-    # omitted means the suite's default; an explicit 0 or negative exits 2
+    # omitted means the suite's default; an explicit 0 or negative exits 2,
+    # and so does a flag the suite does not read
     for flag in ("--p", "--m", "--n", "--bound", "--trials"):
         pv.add_argument(flag, type=positive_int, default=None)
     pv.add_argument("--seed", type=int, default=None)
-    pv.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    pv.add_argument("--budget", type=int, default=None, help=f"default {DEFAULT_BUDGET}")
     pv.set_defaults(func=cmd_verify)
 
     return parser

@@ -27,9 +27,9 @@ for.  Sorted keys imply a sorted diagonal.  Transposition is an exact
 symmetry too, but A^T's row keys are A's column keys, so the key-sorted
 set is not closed under it and no transposition rule is combined with
 it.  Against the box, (2,1,4) classifies 10.6 times fewer matrices,
-(3,1,3) 5.0 times and n = 2 cells about 2 times.  The representatives
-whose row 0 has one key are the unit of work: with workers each first
-key is one task.
+(3,1,3) 5.0 times and n = 2 cells about 2 times.  For m = 1 the
+representatives whose row 0 has one key are the unit of work: with
+workers each first key is one task.
 
 Each matrix classified one by one is reduced to its valuation signature
 by the minor kernel (padicsmith.kernel).  A box has few distinct
@@ -83,11 +83,10 @@ off A0's own signature, and split the classes into strata:
   counted outcomes of the lifts are those of the least image
   P A0 P^T or P A0^T P^T (_similarity_key).
 
-Both memos are keyed on a permuted copy of the class, not a hash, and
-live for one _tally call: one first-row key per pool task, so workers
-lose the reuse across first keys that the serial walk gets.  At (2,2,3)
-the walk computes the lifts of 13 of its 79 rank 2 classes and of 9 of
-its 15 rank 1 classes, one per orbit.
+The walk first sums the weights of the classes of each orbit, keyed on
+a permuted copy of the class, not a hash, and then computes the lifts
+once per orbit, in one process.  At (2,2,3) that is 13 of its 79 rank 2
+classes and 9 of its 15 rank 1 classes.
 
 The det filter is read off the key, val_p(det) = e_1 + ... + e_n, so it
 need not be tallied separately.
@@ -101,10 +100,10 @@ over pairs of units.
 from __future__ import annotations
 
 import os
-from collections import Counter, namedtuple
+from collections import Counter, defaultdict, namedtuple
 from collections.abc import Iterable
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import accumulate, chain, combinations_with_replacement, permutations, product
 from math import comb, factorial, prod
 from operator import itemgetter
@@ -113,18 +112,13 @@ from .classify import _predicates
 from .exact import DEFAULT_BUDGET, BudgetExceededError, Convention, _det_rows, _require_prime
 from .kernel import _VAL_OF_ZERO, _deep_valuations, _signature_valuations, _signatures, _valuation_table
 
-# Fewest matrices classified one by one for which enumerate_density starts
-# workers.  Two workers take some 30-50 ms to start and merge (2 vCPUs,
-# CPython 3.11, one first-row key per task).  They lose on every cell of
-# the density table, up to (2,2,3), which counts 71680 (11 ms serially,
-# 50 ms on two), and at (5,1,3), which counts 339725 (0.26 s serially,
-# 0.42 s on two).  They win at (2,1,5), which counts 907452 (2.65 s
-# serially, 1.35 s on two), and at (3,1,4), which counts 2293173 (2.18 s
-# serially, 1.34 s on two).  For m >= 2 the count takes every lift of
-# every class, far more than the walk classifies once per orbit, and a
-# task reuses lift work only within its own first-row key, the first of
-# which holds most rank-1 orbits: (2,3,3) takes 2.28 s serially and
-# 1.97 s on two, (3,2,3) 1.25 s and 1.24 s (medians of 3 fresh processes).
+# Fewest representatives of an m = 1 cell for which enumerate_density
+# starts workers.  Two workers take some 30-50 ms to start and merge
+# (2 vCPUs, CPython 3.11, one first-row key per task).  They lose on every
+# m = 1 cell of the density table, and at (5,1,3), which classifies
+# 339725 (0.26 s serially, 0.42 s on two).  They win at (2,1,5), which
+# classifies 907452 (2.65 s serially, 1.35 s on two), and at (3,1,4),
+# which classifies 2293173 (2.18 s serially, 1.34 s on two).
 _POOL_MIN_ONE_BY_ONE = 2**19
 
 # gl_count checks the closed form against an exhaustive count up to this many matrices
@@ -457,27 +451,25 @@ def _box_tally(p: int, m: int, n: int, firsts: Iterable[tuple[int, tuple[int, ..
     return tally
 
 
-def _tally(args: tuple[int, int, int, Iterable[tuple[int, tuple[int, ...]]] | None]) -> Counter:
-    """Tally the representatives of the box over [0, p) whose row 0 has a key in firsts.
+def _tally(p: int, m: int, n: int) -> Counter:
+    """Tally the box over [0, p^m) from the representatives of the box over [0, p).
 
     Returns a Counter of outcomes (characterized, correspondent, partition_key),
     each counted with its weight: for m = 1 by _box_tally, for m >= 2 as classes
     A mod p whose p^((m-1) n^2) lifts are counted by the stratum of their rank
-    mod p (see the module docstring).  Only ranks 1 .. n-2 classify lifts one by
-    one, and the lift work of ranks 1 .. n-1 runs once per orbit of the classes.
-    firsts of None is every key.
+    mod p (see the module docstring).  Ranks 1 .. n-1 collect their weights by
+    orbit first, so their lift work runs once per orbit; only ranks 1 .. n-2
+    classify lifts one by one.
     """
-    p, m, n, firsts = args
     if m == 1:
-        return _box_tally(p, 1, n, firsts)
+        return _box_tally(p, 1, n)
     sigs, vt, vt1 = _signatures(n), _valuation_table(p, m, n), _valuation_table(p, 1, n)
     tally: Counter = Counter()
     units = (0,) * (n - 1)
     class_size = p ** ((m - 1) * n * n)
-    # the per-lift work of each class, once per orbit of its stratum's symmetry
-    deep_keys: dict = {}  # by _equivalence_key: partition keys of the lifts
-    lift_outcomes: dict = {}  # by _similarity_key: outcomes of the lifts
-    for prefix, lasts, weights in _walk(_blocks(p, n, firsts)):
+    corank_one = defaultdict(Counter)  # by _equivalence_key: weights by (characterized, correspondent)
+    per_lift: Counter = Counter()  # weights by _similarity_key
+    for prefix, lasts, weights in _walk(_blocks(p, n)):
         for last, sig, weight in zip(lasts, sigs(prefix, lasts, vt1), weights):
             cls = (*prefix, last)
             rank = sig[n:].count(0)  # Delta_k = 0 iff some k x k minor is a unit
@@ -485,22 +477,20 @@ def _tally(args: tuple[int, int, int, Iterable[tuple[int, tuple[int, ...]]] | No
             if rank == n:
                 tally[char, True, (n, *units, 0)] += weight * class_size
             elif rank == 0:
-                below = _tally((p, m - 1, n, None))
-                for (c, r, (k, *exps)), w in below.items():
+                for (c, r, (k, *exps)), w in _tally(p, m - 1, n).items():
                     tally[c, r, (k, *(e + 1 for e in exps))] += weight * w
-            elif rank == n - 1:
-                corr = sig[n - 2] == 0  # f_{n-1} a unit
-                rep = _equivalence_key(cls)
-                if rep not in deep_keys:
-                    deep_keys[rep] = _corank_one_keys(rep, p, m, vt)
-                for key, w in deep_keys[rep].items():
-                    tally[char, corr, key] += weight * w
+            elif rank == n - 1:  # correspondent iff f_{n-1} is a unit
+                corank_one[_equivalence_key(cls)][char, sig[n - 2] == 0] += weight
             else:
-                rep = _similarity_key(cls)
-                if rep not in lift_outcomes:
-                    lift_outcomes[rep] = _lift_outcomes(rep, p, m, sigs, vt)
-                for outcome, w in lift_outcomes[rep].items():
-                    tally[outcome] += weight * w
+                per_lift[_similarity_key(cls)] += weight
+    for rep, pairs in corank_one.items():
+        keys = _corank_one_keys(rep, p, m, vt)
+        for (char, corr), weight in pairs.items():
+            for key, w in keys.items():
+                tally[char, corr, key] += weight * w
+    for rep, weight in per_lift.items():
+        for outcome, w in _lift_outcomes(rep, p, m, sigs, vt).items():
+            tally[outcome] += weight * w
     return tally
 
 
@@ -543,14 +533,15 @@ def enumerate_density(
 
     The walk runs over the representatives of the box over [0, p), each
     weighted by its number of row-key arrangements: single matrices for
-    m = 1, classes mod p for m >= 2 (see the module docstring).  With
-    workers, each key of row 0 is one task, handed to the next free
-    worker, and the tallies are summed, so the result is independent of
-    thread count.  No more workers start than there are row keys or
-    usable CPUs.  Raises BudgetExceededError when the full space
-    (p^m)^(n^2) is larger than budget, however few of its matrices are
-    classified one by one, and UnsupportedSizeError past n = 6, both
-    before any work starts.
+    m = 1, classes mod p for m >= 2 (see the module docstring).  Workers
+    serve m = 1 cells only, from _POOL_MIN_ONE_BY_ONE representatives on:
+    each key of row 0 is one task, handed to the next free worker, and the
+    tallies are summed, so the result is independent of thread count.  No
+    more workers start than there are row keys or usable CPUs.  An m >= 2
+    walk runs in one process, so that each orbit's lift work is done once.
+    Raises BudgetExceededError when the full space (p^m)^(n^2) is larger
+    than budget, however few of its matrices are classified one by one,
+    and UnsupportedSizeError past n = 6, both before any work starts.
     """
     _require_prime(p)
     if m < 1 or n < 1:
@@ -561,19 +552,14 @@ def enumerate_density(
         raise ValueError(f"threads must be >= 1, got {threads}")
     _signatures(n)  # refuses n > _SIGNATURE_MAX_N here, not in the workers
 
-    reps = _representative_count(p, n)
-    # Workers pay off only for matrices classified one by one: every
-    # representative for m = 1, and for m >= 2 at most every lift of a
-    # class, none at n <= 2, where every class is counted whole.
-    one_by_one = reps if m == 1 else reps * p ** ((m - 1) * n * n) if n > 2 else 0
-    if threads == 1 or one_by_one < _POOL_MIN_ONE_BY_ONE:
-        tally = _tally((p, m, n, None))
+    if threads == 1 or m > 1 or _representative_count(p, n) < _POOL_MIN_ONE_BY_ONE:
+        tally = _tally(p, m, n)
     else:
         import multiprocessing as mp
 
-        tasks = [(p, m, n, (key,)) for key in _row_keys(p, n)]
-        with mp.Pool(min(threads, len(tasks), _usable_cpus())) as pool:
-            tally = sum(pool.imap(_tally, tasks, chunksize=1), Counter())
+        firsts = [(key,) for key in _row_keys(p, n)]
+        with mp.Pool(min(threads, len(firsts), _usable_cpus())) as pool:
+            tally = sum(pool.imap(partial(_box_tally, p, 1, n), firsts, chunksize=1), Counter())
     weight = sum(tally.values())
     if weight != total:
         raise AssertionError(

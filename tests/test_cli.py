@@ -584,7 +584,29 @@ def test_verify_orbit_refuses_cell_flags(flag, capsys):
     assert main(["verify", "--suite", "orbit", flag, "4"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "runs its fixed cells" in captured.err
+    assert captured.err == f"error: the orbit suite does not read {flag}\n"
+
+
+@pytest.mark.parametrize(
+    "suite, argv",
+    [
+        ("theorem1", ["--bound", "4"]),
+        ("theorem1", ["--trials", "4"]),
+        ("theorem1", ["--seed", "0"]),
+        ("gl-ratio", ["--budget", "1"]),
+        ("gl-ratio", ["--seed", "3"]),
+        ("rem-stability", ["--m", "2"]),
+        ("rem-stability", ["--budget", "1"]),
+        ("lemma33", ["--budget", "1"]),
+        ("orbit", ["--trials", "4"]),
+    ],
+)
+def test_verify_refuses_flags_its_suite_does_not_read(suite, argv, capsys):
+    # gl-ratio --budget 1 used to run the suite, ignore the flag and PASS
+    assert main(["verify", "--suite", suite, *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: the {suite} suite does not read {argv[0]}\n"
 
 
 def test_verify_unknown_suite_is_usage_error(capsys):

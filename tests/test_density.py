@@ -90,12 +90,11 @@ def test_json_round_trip():
 
 def test_thread_counts_agree(monkeypatch):
     # These cells are too small to start workers by themselves, so the
-    # pool threshold is lowered to one matrix classified one by one.
-    # (3,2,2) counts every class whole, so it still runs serially for any
-    # worker count; the others run the pool, one first-row key per task.
-    # (2,1,4) deals its 8 keys unevenly to 2 or 3 workers, (3,1,3) walks
-    # the 18 keys of an n=3 cell, (2,2,3) classifies the rank 1 lifts of
-    # its classes mod 2 one by one, and (2,1,2) has 4 keys for 4 workers
+    # pool threshold is lowered to one representative.  The m >= 2 cells
+    # (3,2,2) and (2,2,3) still run serially for any worker count; the
+    # others run the pool, one first-row key per task.  (2,1,4) deals its
+    # 8 keys unevenly to 2 or 3 workers, (3,1,3) walks the 18 keys of an
+    # n=3 cell, and (2,1,2) has 4 keys for 4 workers
     import padicsmith.density as density
 
     monkeypatch.setattr(density, "_POOL_MIN_ONE_BY_ONE", 1)
@@ -112,17 +111,20 @@ def test_thread_counts_agree(monkeypatch):
 # the A mod p = 0 class that reuses the tally of (3,1,2).
 @pytest.mark.parametrize("cell", [(3, 1, 2), (3, 1, 3), (2, 1, 4), (2, 2, 3), (3, 2, 2)])
 def test_per_diagonal_tallies_sum_to_the_whole(cell):
-    # the pool's unit is the key of row 0: the tallies of the tasks, one
+    # the weights of the whole walk sum to the box; for m = 1 the pool's
+    # unit is the key of row 0, and the tallies of the tasks, one
     # first-row key each, sum to the serial walk's
     import padicsmith.density as density
 
     p, m, n = cell
-    whole = density._tally((p, m, n, None))
+    whole = density._tally(p, m, n)
     assert sum(whole.values()) == (p**m) ** (n * n)
-    assert sum((density._tally((p, m, n, (key,))) for key in density._row_keys(p, n)), Counter()) == whole
+    if m == 1:
+        tasks = [density._box_tally(p, 1, n, (key,)) for key in density._row_keys(p, n)]
+        assert sum(tasks, Counter()) == whole
 
 
-@pytest.mark.parametrize("cell", [(3, 1, 3), (2, 2, 3)])
+@pytest.mark.parametrize("cell", [(3, 1, 3), (2, 1, 4)])
 def test_pool_gets_one_task_per_sorted_diagonal(monkeypatch, cell):
     # a free worker takes the next key of row 0: p C(p+n-2, n-1) tasks of
     # one first-row key each, in order, not one precomputed share per worker
@@ -153,7 +155,7 @@ def test_pool_gets_one_task_per_sorted_diagonal(monkeypatch, cell):
     assert enumerate_density(p, m, n, threads=2) == serial
     assert len(tasks) == p * comb(p + n - 2, n - 1)
     keys = [(d, rest) for d in range(p) for rest in combinations_with_replacement(range(p), n - 1)]
-    assert tasks == [(p, m, n, (key,)) for key in keys]
+    assert tasks == [(key,) for key in keys]
 
 
 def test_pool_starts_no_more_workers_than_usable_cpus(monkeypatch):
@@ -185,25 +187,29 @@ def test_pool_starts_no_more_workers_than_usable_cpus(monkeypatch):
 
 
 def test_no_pool_when_every_class_is_counted_whole(monkeypatch):
-    # m >= 2 and n = 2: no class has a rank between 1 and n-2, so no matrix
-    # is classified one by one and workers would only add their start-up
+    # m >= 2 walks classes mod p in one process, whose lift work is shared
+    # by every class of an orbit, so no m >= 2 cell starts workers, even
+    # at a threshold of one representative: (3,3,2) counts every class
+    # whole, (2,2,3) classifies the lifts of its rank 1 orbits
+    import padicsmith.density as density
+
     def no_pool(*args, **kwargs):
         raise AssertionError("multiprocessing.Pool started")
 
-    serial = enumerate_density(3, 3, 2)
+    cells = [(3, 3, 2), (2, 2, 3)]
+    serial = [enumerate_density(*cell) for cell in cells]
+    monkeypatch.setattr(density, "_POOL_MIN_ONE_BY_ONE", 1)
     monkeypatch.setattr(multiprocessing, "Pool", no_pool)
-    assert enumerate_density(3, 3, 2, threads=2) == serial
+    assert [enumerate_density(*cell, threads=2) for cell in cells] == serial
 
 
 def test_no_pool_below_the_break_even(monkeypatch):
-    # (2,1,4) classifies 6170 representatives, (2,2,3) counts at most
-    # 71680 lifts one by one and (5,1,3) classifies 339725 representatives;
-    # serially they take some 12 ms, 11 ms and 0.26 s, and two workers lose
-    # to that (2 vCPUs)
+    # (2,1,4) classifies 6170 representatives and (5,1,3) 339725; serially
+    # they take some 12 ms and 0.26 s, and two workers lose to that (2 vCPUs)
     def no_pool(*args, **kwargs):
         raise AssertionError("multiprocessing.Pool started")
 
-    cells = [(2, 1, 4), (2, 2, 3), (5, 1, 3)]
+    cells = [(2, 1, 4), (5, 1, 3)]
     serial = [enumerate_density(*cell) for cell in cells]
     monkeypatch.setattr(multiprocessing, "Pool", no_pool)
     assert [enumerate_density(*cell, threads=2) for cell in cells] == serial
@@ -610,7 +616,9 @@ def test_each_per_lift_class_runs_once_per_orbit(monkeypatch):
     # lifts of a rank 2 class are counted once per orbit under row and
     # column permutations and transposition, and those of a rank 1 class
     # once per orbit under permutation similarity and transposition; the
-    # orbits are counted here by listing every image.
+    # orbits are counted here by listing every image.  The count holds
+    # for any worker count: with workers allowed from one representative
+    # on, an in-process Pool would show lift work repeated across tasks.
     import padicsmith.density as density
 
     p, n = 2, 3
@@ -642,16 +650,33 @@ def test_each_per_lift_class_runs_once_per_orbit(monkeypatch):
 
         return wrapper
 
+    class InProcessPool:
+        def __init__(self, processes):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, func, iterable, chunksize=1):
+            return map(func, iterable)
+
+    monkeypatch.setattr(density, "_POOL_MIN_ONE_BY_ONE", 1)
+    monkeypatch.setattr(multiprocessing, "Pool", InProcessPool)
     for name in ("_corank_one_keys", "_lift_outcomes"):
         monkeypatch.setattr(density, name, counted(name))
-    assert enumerate_density(p, 2, n) == want
-    assert calls == {"_corank_one_keys": len(equivalence), "_lift_outcomes": len(similarity)}
+    for threads in (1, 2):
+        calls.clear()
+        assert enumerate_density(p, 2, n, threads=threads) == want
+        assert calls == {"_corank_one_keys": len(equivalence), "_lift_outcomes": len(similarity)}
 
 
 def test_three_adic_n3_cell_with_two_digit_lifts():
     # Beyond brute force (3^18 matrices); at p = 3 the rank 2 orbits span
-    # several first-row keys, so the serial walk reuses their lift counts
-    # across keys.  The digest is the sha256 of the sorted partition
+    # several first-row keys, and the walk computes their lift counts once
+    # per orbit.  The digest is the sha256 of the sorted partition
     # classes, (key, size, char_count) each.
     row = enumerate_density(3, 2, 3)
     assert row.csv_row() == "3,2,3,45.25,86.67,40.15,387420489,175310185,335777317"
@@ -659,6 +684,20 @@ def test_three_adic_n3_cell_with_two_digit_lifts():
     canon = repr(sorted((key, cell.size, cell.char_count) for key, cell in row.partitions.items()))
     assert hashlib.sha256(canon.encode()).hexdigest() == (
         "f6a724c1347bf887b345bdd27205344658f3720bf49d48471049f798fb046300"
+    )
+
+
+def test_binary_n3_cell_with_three_digit_lifts():
+    # Beyond brute force (2^27 matrices); the only n = 3 cell within
+    # DEFAULT_BUDGET whose classes mod p lift over two more digits, so its
+    # rank 1 and rank 2 orbits take the m >= 3 lift counts.
+    # The digest is the sha256 of the sorted partition classes, as above.
+    row = enumerate_density(2, 3, 3)
+    assert row.csv_row() == "2,3,3,26.41,70.14,16.67,134217728,35445376,94134776"
+    assert len(row.partitions) == 50
+    canon = repr(sorted((key, cell.size, cell.char_count) for key, cell in row.partitions.items()))
+    assert hashlib.sha256(canon.encode()).hexdigest() == (
+        "d1502721f3deb2e49689d257e4cf574199b4bb255a6fa6169e1780e9072f7ed0"
     )
 
 
