@@ -11,7 +11,10 @@ principal k x k minors, and Delta_k, the valuation of the k-th
 determinantal divisor, is the least valuation of a k x k minor.  For
 n <= 4 analyze reads v(f_1..f_n) and Delta_1..Delta_n from one call of
 the compiled signature kernel (padicsmith.kernel), which computes every
-minor once.
+minor once and values it through the prime's one shared
+_LazyValuations: that stores nothing but the zero entry, and returns 0
+at once for a minor p does not divide.  The matrix is checked once, when
+it is built; a parsed one, by the parser alone.
 
 For n >= 5 the coefficients come from Berkowitz.  Delta_k <= v(f_k)
 (Mazur's inequality), so a unit f_k forces e_1 = ... = e_k = 0, and a
@@ -40,7 +43,7 @@ from .exact import (
     _val,
     valuation_to_json,
 )
-from .kernel import _LazyValuations, _signature_valuations, _signatures
+from .kernel import _lazy_valuations, _signature_valuations, _signatures
 from .newton import EigenvalueValuations, _eigenvalue_valuations
 from .smith import local_profile
 
@@ -96,7 +99,8 @@ def analyze(A: MatrixLike, p: int) -> ClassificationReport:
     its rank is degenerate and is not p-correspondent.
 
     For n <= _KERNEL_MAX_N one signature kernel call gives v(f_k) and
-    Delta_k for every k, and the rank and exponents are read off the
+    Delta_k for every k, valued through the prime's one shared
+    _LazyValuations, and the rank and exponents are read off the
     Delta_k.  For larger n the charpoly is valued first.  When f_{n-1} or
     f_n is a p-unit, Delta_k <= v(f_k) pins the Smith profile to
     (0, ..., 0, v(f_n)), or to n - 1 zeros when f_n = 0; only the other
@@ -106,7 +110,8 @@ def analyze(A: MatrixLike, p: int) -> ClassificationReport:
     A = _as_matrix(A)
     n = A.n
     if n <= _KERNEL_MAX_N:
-        sig = _signatures(n)(A.rows[:-1], A.rows[-1:], _LazyValuations(p))[0]
+        rows = A.rows
+        sig = _signatures(n)(rows[:-1], rows[-1:], _lazy_valuations(p))[0]
         vals, exponents = _signature_valuations(sig)
     else:
         vals = tuple([_val(c, p) for c in char_poly(A).coeffs])
@@ -118,16 +123,7 @@ def analyze(A: MatrixLike, p: int) -> ClassificationReport:
     delta_vals, eig, characterized, correspondent = _predicates(vals, exponents, p, A.rows)
     r = len(exponents)
     return ClassificationReport(
-        p=p,
-        n=n,
-        rank=r,
-        f_vals=vals[:r],
-        delta_vals=delta_vals,
-        profile=exponents,
-        eig_vals=eig,
-        p_characterized=characterized,
-        p_correspondent=correspondent,
-        degenerate=len(eig.values) < r,
+        p, n, r, vals[:r], delta_vals, exponents, eig, characterized, correspondent, len(eig.values) < r
     )
 
 

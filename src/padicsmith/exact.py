@@ -214,6 +214,14 @@ class _Frozen:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
+def _check_entries(rows) -> None:
+    """Raise ValueError naming the first entry of rows that is not an int (a bool included)."""
+    for r in rows:
+        for x in r:
+            if type(x) is not int:
+                raise ValueError(f"entries must be int, got {x!r}")
+
+
 class IntMatrix(_Frozen):
     """A square integer matrix, immutable, entries stored row-major."""
 
@@ -226,10 +234,7 @@ class IntMatrix(_Frozen):
             raise ValueError(f"matrix dimension must be >= 1, got {n}")
         if len(rows) != n or any(len(r) != n for r in rows):
             raise ValueError(f"expected {n} rows of {n} entries")
-        for r in rows:
-            for x in r:
-                if type(x) is not int:
-                    raise ValueError(f"entries must be int, got {x!r}")
+        _check_entries(rows)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "rows", rows)
 
@@ -280,6 +285,16 @@ class IntMatrix(_Frozen):
 
 
 MatrixLike = IntMatrix | Sequence[Sequence[int]]
+
+
+def _trusted_matrix(n: int, rows: tuple[tuple[int, ...], ...]) -> IntMatrix:
+    """An IntMatrix from rows its caller built and checked: n >= 1 tuples
+    of n ints each.  The parsers check every entry as they read it, so
+    this skips IntMatrix.__init__ and its second pass over them."""
+    A = object.__new__(IntMatrix)
+    object.__setattr__(A, "n", n)
+    object.__setattr__(A, "rows", rows)
+    return A
 
 
 def _as_matrix(A: MatrixLike) -> IntMatrix:
@@ -355,15 +370,38 @@ def _parse_matrix_json(text: str) -> IntMatrix:
     for i, row in enumerate(entries):
         if not isinstance(row, list) or len(row) != n:
             raise MatrixParseError(f"row {i + 1}: expected {n} entries")
-        for j, x in enumerate(row):
-            if type(x) is _IntLiteral:
-                row[j] = _parse_int(x, f"row {i + 1}, entry {j + 1}")
-            elif type(x) is not int:
-                raise MatrixParseError(f"row {i + 1}, entry {j + 1}: not an integer: {x!r}")
-    return IntMatrix.from_rows(entries)
+    try:
+        _check_entries(entries)
+    except ValueError:
+        # convert the integer literals kept as text, or name the entry
+        # that is not an integer
+        for i, row in enumerate(entries):
+            for j, x in enumerate(row):
+                if type(x) is _IntLiteral:
+                    row[j] = _parse_int(x, f"row {i + 1}, entry {j + 1}")
+                elif type(x) is not int:
+                    raise MatrixParseError(f"row {i + 1}, entry {j + 1}: not an integer: {x!r}") from None
+    return _trusted_matrix(n, tuple([tuple(row) for row in entries]))
 
 
 def _parse_matrix_text(text: str) -> IntMatrix:
+    # well-formed text in one pass; anything else takes the numbered path,
+    # which finds the first fault and names its line
+    try:
+        dim, *body = filter(None, map(str.split, text.splitlines()))
+        (n,) = map(int, dim)
+        rows = tuple([tuple(map(int, toks)) for toks in body])
+    except ValueError:
+        pass
+    else:
+        if 0 < n == len(rows) and all(len(row) == n for row in rows):
+            return _trusted_matrix(n, rows)
+    return _parse_numbered_text(text)
+
+
+def _parse_numbered_text(text: str) -> IntMatrix:
+    """The text parser that reads line by line, for the diagnostics: it
+    raises MatrixParseError naming the line and entry of the first fault."""
     numbered = [(i + 1, line) for i, line in enumerate(text.splitlines()) if line.strip()]
     if not numbered:
         raise MatrixParseError("empty input")
@@ -388,8 +426,8 @@ def _parse_matrix_text(text: str) -> IntMatrix:
                 row.append(int(tok))
             except ValueError:
                 raise _int_error(tok, f"line {line_no}, entry {j + 1}") from None
-        rows.append(row)
-    return IntMatrix.from_rows(rows)
+        rows.append(tuple(row))
+    return _trusted_matrix(n, tuple(rows))
 
 
 def rem_pm(A: MatrixLike, p: int, m: int) -> IntMatrix:

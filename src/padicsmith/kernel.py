@@ -53,8 +53,11 @@ class _LazyValuations(dict):
     """val_p on demand, for a box whose table would pass _TABLE_LIMIT and
     for classify.analyze, whose entries are unbounded.
 
-    Nothing is stored, so memory stays flat however many values a walk
-    looks up.  p must be prime; the caller checks it.
+    Only the zero entry is stored, so memory stays flat however many
+    values a walk looks up, and one instance per prime,
+    _lazy_valuations(p), serves every caller.  Most lookups are of an x
+    that p does not divide, and return 0 without calling _val.  p must be
+    prime; the caller checks it.
     """
 
     def __init__(self, p: int):
@@ -62,7 +65,15 @@ class _LazyValuations(dict):
         self.p = p
 
     def __missing__(self, x: int) -> int:
-        return _val(x, self.p)  # x != 0: zero is stored
+        return 0 if x % self.p else _val(x, self.p)  # x != 0: zero is stored
+
+
+@lru_cache(maxsize=16)
+def _lazy_valuations(p: int) -> _LazyValuations:
+    """The one _LazyValuations of the prime p, which must be prime.  It
+    holds only its zero entry, so keeping it costs nothing and saves
+    building one per classify.analyze call."""
+    return _LazyValuations(p)
 
 
 @lru_cache(maxsize=16)
@@ -71,11 +82,11 @@ def _valuation_table(p: int, m: int, n: int) -> list[int] | _LazyValuations:
 
     A list when the bound is within _TABLE_LIMIT: a negative x wraps to
     the end of it, as Python indexing does, so one list serves both
-    signs.  Past the limit, a _LazyValuations.
+    signs.  Past the limit, _lazy_valuations(p).
     """
     bound = _table_bound(p**m, n)
     if bound > _TABLE_LIMIT:
-        return _LazyValuations(p)
+        return _lazy_valuations(p)
     table = [_VAL_OF_ZERO] * (2 * bound + 1)
     for x in range(1, bound + 1):
         table[x] = table[-x] = val_p(x, p)
@@ -233,8 +244,11 @@ def _signature_valuations(sig: tuple[int, ...]) -> tuple[tuple[Valuation, ...], 
     e_k = Delta_k - Delta_{k-1}.
     """
     n = len(sig) // 2
-    dv = sig[n:]
-    if _VAL_OF_ZERO in dv:
+    vals, dv = sig[:n], sig[n:]
+    if _VAL_OF_ZERO in vals:
+        vals = tuple([INFINITY if v == _VAL_OF_ZERO else v for v in vals])
+    if dv[-1] == _VAL_OF_ZERO:  # every Delta_k past the rank is _VAL_OF_ZERO
         dv = dv[: dv.index(_VAL_OF_ZERO)]
-    vals = tuple([INFINITY if v == _VAL_OF_ZERO else v for v in sig[:n]])
-    return vals, tuple(map(sub, dv, (0,) + dv))
+    if not dv or not dv[-1]:  # rank 0, or Delta_r = 0 and so every e_k = 0
+        return vals, dv
+    return vals, tuple(map(sub, dv, (0, *dv)))

@@ -1,3 +1,4 @@
+import random
 import re
 from fractions import Fraction
 from functools import lru_cache
@@ -6,7 +7,7 @@ from unittest.mock import Mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from padicsmith import classify
+from padicsmith import classify, kernel
 from padicsmith.charpoly import char_poly
 from padicsmith.classify import ClassificationReport, analyze
 from padicsmith.exact import INFINITY, IntMatrix, val_p
@@ -99,6 +100,28 @@ def test_report_json_round_trips(trident):
 def test_analyze_rejects_non_prime(hepta, p):
     with pytest.raises(ValueError, match="p must be prime"):
         analyze(hepta, p)
+
+
+def test_analyze_valuations_stay_flat():
+    """analyze shares one _LazyValuations per prime, and it never stores
+    more than the zero entry, however many minors it has valued."""
+    rng = random.Random(5)
+    vt = kernel._lazy_valuations(5)
+    for _ in range(1000):
+        n = rng.randint(1, 4)
+        analyze([[rng.randint(-(10**6), 10**6) for _ in range(n)] for _ in range(n)], 5)
+    assert kernel._lazy_valuations(5) is vt
+    assert dict(vt) == {0: kernel._VAL_OF_ZERO}
+    # a box past the table limit gets the same one
+    assert kernel._valuation_table(5, 9, 4) is vt
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_lazy_valuations_are_val_p(p):
+    vt = kernel._lazy_valuations(p)
+    for x in [*range(-400, 0), *range(1, 400), p**40, -(p**41) * 3, 2**64 + 1]:
+        assert vt[x] == val_p(x, p)
+    assert vt[0] == kernel._VAL_OF_ZERO
 
 
 @pytest.mark.parametrize(

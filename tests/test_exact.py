@@ -3,11 +3,13 @@ import pickle
 import sys
 import time
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
 
 from padicsmith import exact
+from padicsmith.classify import analyze
 from padicsmith.exact import (
     _PRIME_LIMIT,
     INFINITY,
@@ -222,6 +224,128 @@ LONG = "7" * (DIGIT_LIMIT + 1)
 def test_overlong_integer_names_its_entry(text, needle):
     with pytest.raises(MatrixParseError, match=needle):
         parse_matrix(text)
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        # \x0c ends a line for splitlines(), so this is three rows
+        ("2\n1\x0c2\n3 4\n", "expected 2 matrix rows, found 3"),
+        ("\n\n2 2\n1 2\n", "line 3: expected a single dimension, found 2 tokens"),
+        ("0\n", "line 1: dimension must be >= 1, got 0"),
+        ("2\n1 2\n\n3 4 5\n", "line 4: expected 2 entries, found 3"),
+        ("2\r\n1 2\r\n3 x\r\n", "line 3, entry 2: not an integer: 'x'"),
+        ("2\n1 2\n3 1__0\n", "line 3, entry 2: not an integer: '1__0'"),
+        ("1\n1\n2\n", "expected 1 matrix rows, found 2"),
+        ('{"n": 2, "entries": [[1, true], [3, 4]]}', "row 1, entry 2: not an integer: True"),
+        ('{"n": 2, "entries": [[1, 2], [3, null]]}', "row 2, entry 2: not an integer: None"),
+        ('{"n": 2, "entries": [[1, 2], [3]]}', "row 2: expected 2 entries"),
+        ('{"n": 2, "entries": [[1, 2], 3]}', "row 2: expected 2 entries"),
+        ('[1, 2]', 'JSON matrix must be an object with keys "n" and "entries"'),
+        ('{"n": 1, "entries": [[1]]} x', "invalid JSON at line 1, column 28: Extra data"),
+    ],
+)
+def test_parse_messages_pinned(text, message):
+    with pytest.raises(MatrixParseError) as info:
+        parse_matrix(text)
+    assert str(info.value) == message
+
+
+def _parse_outcome(parse, text):
+    """("ok", n, rows) for a parsed matrix, ("error", message) for a refusal."""
+    try:
+        A = parse(text)
+    except MatrixParseError as exc:
+        return ("error", str(exc))
+    return ("ok", A.n, A.rows)
+
+
+# Text matrices that are well formed or nearly so: every line break
+# splitlines() knows, blank lines, signs, digit groups, and a dimension,
+# row count or token count that is off by one.
+LINE_BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+GAPS = [" ", "  ", "\t", "\xa0", "\u3000"]
+TOKENS = st.one_of(
+    st.integers(min_value=-10**6, max_value=10**6).map(str),
+    st.sampled_from(["+7", "-0", "007", "1_000", "-2_5", "\u0663", "1__0", "_1", "1_", "x", "1.5", "--1", "+"]),
+)
+
+
+@st.composite
+def near_matrix_texts(draw):
+    n = draw(st.integers(min_value=0, max_value=3))
+    header = draw(st.sampled_from([[str(n)], [str(n)], [str(n), "1"], ["x"], [f"+{n}"]]))
+    lines = [header]
+    for _ in range(max(0, n + draw(st.sampled_from([0, 0, 0, -1, 1])))):
+        width = max(0, n + draw(st.sampled_from([0, 0, 0, -1, 1])))
+        lines.append(draw(st.lists(TOKENS, min_size=width, max_size=width)))
+    out = draw(st.sampled_from(["", " ", "\n", "\t\n"]))
+    for toks in lines:
+        if draw(st.booleans()):
+            out += draw(st.sampled_from(["", "  ", "\t"])) + draw(st.sampled_from(LINE_BREAKS))
+        out += draw(st.sampled_from(GAPS)).join(toks) + draw(st.sampled_from(LINE_BREAKS))
+    return out
+
+
+@given(near_matrix_texts())
+def test_fast_and_numbered_text_paths_agree(text):
+    numbered = exact._parse_numbered_text
+    fell_back = []
+
+    def spy(t):
+        fell_back.append(t)
+        return numbered(t)
+
+    with mock.patch.object(exact, "_parse_numbered_text", spy):
+        got = _parse_outcome(exact._parse_matrix_text, text)
+    want = _parse_outcome(numbered, text)
+    assert got == want
+    # the one-pass path takes every well-formed text and nothing else
+    assert bool(fell_back) == (want[0] == "error")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "2\n1 -2\n3 4\n",
+        '{"n": 2, "entries": [[1, -2], [3, 4]]}',
+        pytest.param(
+            f'{{"n": 2, "entries": [[1, -2], [3, 4]], "note": {LONG}}}',
+            marks=pytest.mark.skipif(DIGIT_LIMIT == 0, reason="int() has no digit limit"),
+            id="json-past-the-digit-limit",
+        ),
+    ],
+)
+def test_parsed_matrix_equals_the_validated_one(text):
+    A = parse_matrix(text)
+    B = IntMatrix.from_rows([[1, -2], [3, 4]])
+    assert type(A) is IntMatrix and type(A.rows) is tuple
+    assert all(type(row) is tuple and all(type(x) is int for x in row) for row in A.rows)
+    assert A == B and hash(A) == hash(B) and repr(A) == repr(B)
+    C = pickle.loads(pickle.dumps(A))
+    assert C == B and hash(C) == hash(B)
+
+
+def test_parse_checks_entries_at_most_once(monkeypatch):
+    calls = []
+    check = exact._check_entries
+    monkeypatch.setattr(exact, "_check_entries", lambda rows: calls.append(rows) or check(rows))
+    A = IntMatrix.from_rows([[1, 2], [3, 4]])
+    assert len(calls) == 1  # the constructor's
+    calls.clear()
+    assert parse_matrix(json.dumps(A.to_json_obj())) == A
+    assert len(calls) == 1  # the JSON parser's; the constructor does not check again
+    calls.clear()
+    assert parse_matrix(A.to_text()) == A
+    assert calls == []  # int() made every entry of a text matrix
+
+
+@pytest.mark.parametrize("rows", [[[True, 0], [0, 1]], [[1.0, 0], [0, 1]], [[1, 0], [0, 2.5]]])
+def test_constructor_still_refuses_non_int_entries(rows):
+    with pytest.raises(ValueError, match="entries must be int"):
+        IntMatrix.from_rows(rows)
+    with pytest.raises(ValueError, match="entries must be int"):
+        analyze(rows, 2)
 
 
 def test_det_pinned(reducible, trident):
