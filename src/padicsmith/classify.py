@@ -110,8 +110,7 @@ def analyze(A: MatrixLike, p: int) -> ClassificationReport:
     A = _as_matrix(A)
     n = A.n
     if n <= _KERNEL_MAX_N:
-        rows = A.rows
-        sig = _signatures(n)(rows[:-1], rows[-1:], _lazy_valuations(p))[0]
+        sig = _signatures(n)(A.rows[:-1], A.rows[-1:], _lazy_valuations(p))[0]
         vals, exponents = _signature_valuations(sig)
     else:
         vals = tuple([_val(c, p) for c in char_poly(A).coeffs])
