@@ -11,7 +11,6 @@ import argparse
 import json
 import random
 import sys
-from fractions import Fraction
 from itertools import groupby
 from pathlib import Path
 
@@ -23,19 +22,12 @@ from .exact import (
     IntMatrix,
     MatrixParseError,
     UnsupportedSizeError,
-    _require_prime,
-    det,
     parse_matrix,
-    val_p,
     valuation_to_json,
 )
 
-# The density and transform modules are imported by the commands that use
-# them, so that a cold `analyze` loads neither.
-
-REM_STABILITY_PRIMES = (2, 3, 5)
-
-ORBIT_CELLS = ((2, 1, (0, 0)), (3, 1, (0, 0)), (2, 2, (0, 1)))
+# The density, transform and verify modules are imported by the commands
+# that use them, so that a cold `analyze` loads none of them.
 
 
 def _load_matrix(path: str) -> IntMatrix:
@@ -144,114 +136,31 @@ def cmd_transform(args: argparse.Namespace) -> int:
     return 0
 
 
-def _check_theorem1(args: argparse.Namespace) -> list[tuple[bool, str]]:
-    from .density import _box_size, _box_tally
-
-    p, m, n = args.p or 2, args.m or 1, args.n or 2
-    _require_prime(p)
-    total = _box_size(p, m, n, DEFAULT_BUDGET if args.budget is None else args.budget)
-    head = f"theorem1 p={p} m={m} n={n}"
-    try:
-        weight = sum(_box_tally(p, m, n).values())
-    except AssertionError as exc:
-        return [(False, f"{head}: counterexample found ({exc})")]
-    if weight != total:
-        return [(False, f"{head}: representative weights sum to {weight}, expected {total} matrices")]
-    return [(True, f"{head}: {total} matrices, 0 characterized-but-not-correspondent")]
-
-
-def _check_gl_ratio(args: argparse.Namespace) -> list[tuple[bool, str]]:
-    from .density import gl_count
-
-    checks = []
-    primes = [args.p] if args.p else [2, 3, 5, 7, 11]
-    for p in primes:
-        for m in range(1, (args.m or 3) + 1):
-            for n in range(1, (args.n or 4) + 1):
-                rep = gl_count(p, m, n)
-                tag = "exhaustive+closed-form" if rep.exhaustive_checked else "closed-form"
-                line = f"gl-ratio p={p} m={m} n={n}: ratio={rep.ratio} ({tag})"
-                if not rep.ok:
-                    line += f", exhaustive count {rep.exhaustive_count} != closed form {rep.order}"
-                checks.append((rep.ok and rep.ratio < 4, line))
-    return checks
-
-
-def _check_rem_stability(args: argparse.Namespace) -> list[tuple[bool, str]]:
-    from .transform import verify_rem_stability
-
-    trials = args.trials or 200
-    rng = random.Random(args.seed or 0)
-    checks = []
-    primes = [args.p] if args.p else list(REM_STABILITY_PRIMES)
-    for p in primes:
-        bad = 0
-        done = 0
-        while done < trials:
-            n = args.n or rng.randrange(2, 5)
-            A = IntMatrix.from_rows(
-                [[rng.randrange(-100, 101) for _ in range(n)] for _ in range(n)]
-            )
-            d = det(A)
-            if d == 0:
-                continue
-            m = val_p(d, p) + 1
-            rep = verify_rem_stability(A, p, m)
-            bad += not rep.ok
-            done += 1
-        checks.append((bad == 0, f"rem-stability p={p}: {trials} trials, {bad} violations"))
-    return checks
-
-
-def _check_lemma33(args: argparse.Namespace) -> list[tuple[bool, str]]:
-    from .transform import single_attempt_success_rate
-
-    p = args.p or 101
-    rep = single_attempt_success_rate(
-        args.n or 3, p, args.bound or p, args.trials or 1000, args.seed or 0
-    )
-    return [
-        (
-            rep.ok,
-            f"lemma33 p={p} n={rep.n} bound={rep.bound}: {rep.successes}/{rep.trials} "
-            f"successes, rate {Fraction(rep.successes, rep.trials)} vs floor {rep.floor} - 3sigma",
-        )
-    ]
-
-
-def _check_orbit(args: argparse.Namespace) -> list[tuple[bool, str]]:
-    from .density import orbit_stabilizer_check
-
-    budget = DEFAULT_BUDGET if args.budget is None else args.budget
-    checks = []
-    for p, m, exponents in ORBIT_CELLS:
-        rep = orbit_stabilizer_check(p, m, exponents, budget=budget)
-        checks.append(
-            (
-                rep.ok,
-                f"orbit p={p} m={m} e={list(exponents)}: class size {rep.class_size}, "
-                f"{rep.pair_count_per_member} pairs per member",
-            )
-        )
-    return checks
-
-
-# each suite with the verify flags it reads; the orbit suite runs ORBIT_CELLS
+# each verify suite with the flags it reads: the suite is the function of
+# padicsmith.verify named after it, "-" read as "_", and takes them as
+# keyword arguments; the orbit suite runs verify.ORBIT_CELLS
 VERIFY_SUITES = {
-    "theorem1": (_check_theorem1, ("p", "m", "n", "budget")),
-    "gl-ratio": (_check_gl_ratio, ("p", "m", "n")),
-    "rem-stability": (_check_rem_stability, ("p", "n", "trials", "seed")),
-    "lemma33": (_check_lemma33, ("p", "n", "bound", "trials", "seed")),
-    "orbit": (_check_orbit, ("budget",)),
+    "theorem1": ("p", "m", "n", "budget"),
+    "gl-ratio": ("p", "m", "n"),
+    "rem-stability": ("p", "n", "trials", "seed"),
+    "lemma33": ("p", "n", "bound", "trials", "seed"),
+    "orbit": ("budget",),
 }
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    check, reads = VERIFY_SUITES[args.suite]
+    from . import verify
+
+    reads = VERIFY_SUITES[args.suite]
+    given = {}
     for flag in ("p", "m", "n", "bound", "trials", "seed", "budget"):
-        if flag not in reads and getattr(args, flag) is not None:
+        value = getattr(args, flag)
+        if value is None:
+            continue
+        if flag not in reads:
             raise ValueError(f"the {args.suite} suite does not read --{flag}")
-    checks = check(args)
+        given[flag] = value
+    checks = getattr(verify, args.suite.replace("-", "_"))(**given)
     for ok, line in checks:
         print(f"{'PASS' if ok else 'FAIL'} {line}")
     return 0 if all(ok for ok, _ in checks) else 1

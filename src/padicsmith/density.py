@@ -90,11 +90,6 @@ classes and 9 of its 15 rank 1 classes.
 
 The det filter is read off the key, val_p(det) = e_1 + ... + e_n, so it
 need not be tallied separately.
-
-The group-order checks take their class sizes from the same partition
-map: gl_count the unit class (1, ..., 1), and orbit_stabilizer_check the
-class of diag(p^e), which it compares with the products L diag(p^e) R
-over pairs of units.
 """
 
 from __future__ import annotations
@@ -120,9 +115,6 @@ from .kernel import _VAL_OF_ZERO, _deep_valuations, _signature_valuations, _sign
 # classifies 907452 (2.65 s serially, 1.35 s on two), and at (3,1,4),
 # which classifies 2293173 (2.18 s serially, 1.34 s on two).
 _POOL_MIN_ONE_BY_ONE = 2**19
-
-# gl_count checks the closed form against an exhaustive count up to this many matrices
-GL_EXHAUSTIVE_BUDGET = 2**20
 
 CSV_HEADER = "p,m,n,pct_char,pct_corr,min_pct_char,total,char_count,corr_count"
 
@@ -591,128 +583,4 @@ def enumerate_density(
         char_count=sum(w for char, _, w in counted if char),
         corr_count=sum(w for _, corr, w in counted if corr),
         partitions=partitions,
-    )
-
-
-# ---------------------------------------------------------------------------
-# group orders and the orbit-stabilizer identity
-# ---------------------------------------------------------------------------
-
-class GLCountReport(namedtuple("GLCountReport", "p m n order ratio exhaustive_count")):
-    __slots__ = ()
-    p: int
-    m: int
-    n: int
-    order: int
-    ratio: Fraction
-    exhaustive_count: int | None  # None past GL_EXHAUSTIVE_BUDGET
-
-    @property
-    def exhaustive_checked(self) -> bool:
-        return self.exhaustive_count is not None
-
-    @property
-    def ok(self) -> bool:
-        """The closed form agrees with the exhaustive count, where one was made."""
-        return self.exhaustive_count in (None, self.order)
-
-
-def gl_order(p: int, m: int, n: int) -> int:
-    """|GL_n(Z/p^m Z)| in closed form."""
-    _require_prime(p)
-    base = prod(p**n - p**i for i in range(n))
-    return p ** ((m - 1) * n * n) * base
-
-
-def gl_count(p: int, m: int, n: int) -> GLCountReport:
-    """Order of GL_n(Z/p^m Z) and the full-space/GL ratio.
-
-    The ratio is prod_{k=1..n} 1/(1 - p^-k) < 3.47.  When the residue
-    space fits in GL_EXHAUSTIVE_BUDGET the report also carries the size
-    of the unit class that enumerate_density counts over the whole box,
-    and its ok says whether that count equals the closed form.
-    """
-    order = gl_order(p, m, n)
-    space = p ** (m * n * n)
-    count = None
-    if space <= GL_EXHAUSTIVE_BUDGET:
-        # Smith diagonal (1, ..., 1) at p: det is prime to p, so A is invertible mod p^m
-        count = enumerate_density(p, m, n).partitions[(1,) * n].size
-    return GLCountReport(
-        p=p, m=m, n=n, order=order, ratio=Fraction(space, order), exhaustive_count=count
-    )
-
-
-class OrbitCheckReport(
-    namedtuple("OrbitCheckReport", "p m exponents class_size pair_count_per_member ok")
-):
-    __slots__ = ()
-    p: int
-    m: int
-    exponents: tuple[int, ...]
-    class_size: int
-    pair_count_per_member: Fraction  # |GL|^2 / class_size
-    ok: bool
-
-
-def orbit_stabilizer_check(
-    p: int, m: int, exponents: tuple[int, ...], budget: int = DEFAULT_BUDGET
-) -> OrbitCheckReport:
-    """Exhaustively verify the sandwich-counting identity for one profile class.
-
-    With S = diag(p^e) and sum(e) < m, a product L @ S @ R lies in S's
-    class only if det L and det R are prime to p, since det(L S R) =
-    det L * det S * det R mod p^m must have valuation sum(e); and every
-    such product does, since the Smith form mod p^m is that of any lift
-    (rem-stability).  So (L @ S @ R) rem p^m is bucketed over the pairs of
-    matrices over [0, p^m) with det prime to p, the class size is read
-    off enumerate_density's partition map, and each member of the class
-    must be hit exactly |GL|^2 / class_size times.
-    """
-    _require_prime(p)
-    exponents = tuple(int(e) for e in exponents)
-    n = len(exponents)
-    if n < 1:
-        raise ValueError("profile must have at least one exponent")
-    if any(e < 0 for e in exponents) or list(exponents) != sorted(exponents):
-        raise ValueError(f"profile must be sorted non-negative exponents, got {exponents}")
-    if sum(exponents) >= m:
-        raise ValueError(
-            f"profile classes need sum(e) < m, got sum {sum(exponents)} with m={m}"
-        )
-    _space_size("pair space (p^m)^(2 n^2)", p, 2 * m * n * n, budget)
-    q = p**m
-
-    rng_n = range(n)
-    units = [
-        flat
-        for flat in product(range(q), repeat=n * n)
-        if _det_rows([list(flat[i * n : (i + 1) * n]) for i in rng_n]) % p
-    ]
-    powers = tuple(p**e for e in exponents)
-    # S is nonsingular with every e_i <= sum(e) < m, so its key is its diagonal
-    class_size = enumerate_density(p, m, n, budget=budget).partitions[powers].size
-    # a Fraction: when class_size does not divide |GL|^2, no hit count
-    # equals it and ok is False
-    expected = Fraction(gl_order(p, m, n) ** 2, class_size)
-
-    hits: Counter = Counter()
-    for L in units:
-        scaled = [[L[i * n + k] * powers[k] for k in rng_n] for i in rng_n]
-        for R in units:
-            out = []
-            for i in rng_n:
-                srow = scaled[i]
-                for j in rng_n:
-                    out.append(sum(srow[k] * R[k * n + j] for k in rng_n) % q)
-            hits[tuple(out)] += 1
-
-    ok = len(hits) == class_size and all(c == expected for c in hits.values())
-    return OrbitCheckReport(
-        p=p,
-        m=m,
-        exponents=exponents,
-        class_size=class_size,
-        pair_count_per_member=expected,
-        ok=ok,
     )

@@ -69,11 +69,13 @@ def _random_matrix(rng: random.Random, n: int, bound: int) -> IntMatrix:
 
 
 def _random_unit_matrix(n: int, p: int, seed: int) -> IntMatrix:
-    """First matrix over [0, p), drawn row-major from Random(seed), with det prime to p.
+    """First matrix over [0, p) with det prime to p, drawn row-major from a stream of its own.
 
-    The caller checks that p is prime: at p = 1 the draw would never stop.
+    The stream is Random(f"unit matrix {seed}"), not the Random(seed) that
+    _attempts reads, so the attempts do not start by drawing A again.  The
+    caller checks that p is prime: at p = 1 the draw would never stop.
     """
-    rng = random.Random(seed)
+    rng = random.Random(f"unit matrix {seed}")
     while True:
         A = _random_matrix(rng, n, p)
         if det(A) % p:
@@ -179,8 +181,9 @@ def single_attempt_success_rate(
 ) -> SuccessRateReport:
     """Count the successes of `trials` single sandwich attempts on one unit matrix.
 
-    A is the first matrix over [0, p) drawn from Random(seed) with det
-    prime to p; the attempts on it come from a second Random(seed).
+    A is the first matrix over [0, p) with det prime to p that
+    _random_unit_matrix draws for seed; the attempts on it come from
+    Random(seed), as in sample_correspondent.
     Raises ValueError when the floor 1 - (n^2+3n)/p is not positive,
     because no success rate could then fall below it.
     """

@@ -12,11 +12,12 @@ from fractions import Fraction
 
 from padicsmith.charpoly import char_poly, char_poly_minor_oracle
 from padicsmith.classify import analyze
-from padicsmith.density import enumerate_density, gl_count, orbit_stabilizer_check
+from padicsmith.density import enumerate_density
 from padicsmith.exact import IntMatrix, det, val_p
 from padicsmith.newton import eigenvalue_valuations
 from padicsmith.smith import determinantal_divisors, local_profile, smith_form
 from padicsmith.transform import single_attempt_success_rate, verify_rem_stability
+from padicsmith.verify import gl_ratio, orbit_stabilizer_check
 
 from conftest import (
     CONVEXED,
@@ -176,21 +177,20 @@ def test_criterion_5_rem_stability():
 def test_criterion_6_orbit_stabilizer():
     start = time.perf_counter()
     for p, m, exps in [(2, 1, (0, 0)), (3, 1, (0, 0)), (2, 2, (0, 1))]:
-        rep = orbit_stabilizer_check(p, m, exps)
-        assert rep.ok, (p, m, exps)
+        _, _, ok = orbit_stabilizer_check(p, m, exps)
+        assert ok, (p, m, exps)
     elapsed = time.perf_counter() - start
     assert elapsed < 120
     print(f"ACCEPTANCE 6 PASS: pair counts constant across all three orbits in {elapsed:.1f}s")
 
 
 def test_criterion_7_gl_ratio():
-    exhaustive = 0
-    for p in (2, 3, 5, 7, 11):
-        for m in (1, 2, 3):
-            for n in (1, 2, 3, 4):
-                rep = gl_count(p, m, n)
-                assert rep.ok and rep.ratio < 4, (p, m, n, rep)
-                exhaustive += rep.exhaustive_checked
+    # p in (2, 3, 5, 7, 11), m in (1, 2, 3), n in (1, 2, 3, 4); each check
+    # holds the ratio below 4 and an exhaustive count to the closed form
+    checks = gl_ratio()
+    assert len(checks) == 60
+    assert [line for ok, line in checks if not ok] == []
+    exhaustive = sum(line.endswith("(exhaustive+closed-form)") for _, line in checks)
     assert exhaustive == 29  # every cell with (p^m)^(n^2) <= GL_EXHAUSTIVE_BUDGET
     print(
         f"ACCEPTANCE 7 PASS: unit-fraction ratio below 4 on the 60-cell grid "

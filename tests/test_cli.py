@@ -1,4 +1,5 @@
 import ast
+import inspect
 import io
 import json
 import os
@@ -251,6 +252,84 @@ def test_verify_suites_pass(argv, capsys):
     assert "FAIL" not in out
 
 
+# the full stdout of two suites at their defaults, one line per check
+VERIFY_DEFAULT_OUT = {
+    "gl-ratio": """\
+PASS gl-ratio p=2 m=1 n=1: ratio=2 (exhaustive+closed-form)
+PASS gl-ratio p=2 m=1 n=2: ratio=8/3 (exhaustive+closed-form)
+PASS gl-ratio p=2 m=1 n=3: ratio=64/21 (exhaustive+closed-form)
+PASS gl-ratio p=2 m=1 n=4: ratio=1024/315 (exhaustive+closed-form)
+PASS gl-ratio p=2 m=2 n=1: ratio=2 (exhaustive+closed-form)
+PASS gl-ratio p=2 m=2 n=2: ratio=8/3 (exhaustive+closed-form)
+PASS gl-ratio p=2 m=2 n=3: ratio=64/21 (exhaustive+closed-form)
+PASS gl-ratio p=2 m=2 n=4: ratio=1024/315 (closed-form)
+PASS gl-ratio p=2 m=3 n=1: ratio=2 (exhaustive+closed-form)
+PASS gl-ratio p=2 m=3 n=2: ratio=8/3 (exhaustive+closed-form)
+PASS gl-ratio p=2 m=3 n=3: ratio=64/21 (closed-form)
+PASS gl-ratio p=2 m=3 n=4: ratio=1024/315 (closed-form)
+PASS gl-ratio p=3 m=1 n=1: ratio=3/2 (exhaustive+closed-form)
+PASS gl-ratio p=3 m=1 n=2: ratio=27/16 (exhaustive+closed-form)
+PASS gl-ratio p=3 m=1 n=3: ratio=729/416 (exhaustive+closed-form)
+PASS gl-ratio p=3 m=1 n=4: ratio=59049/33280 (closed-form)
+PASS gl-ratio p=3 m=2 n=1: ratio=3/2 (exhaustive+closed-form)
+PASS gl-ratio p=3 m=2 n=2: ratio=27/16 (exhaustive+closed-form)
+PASS gl-ratio p=3 m=2 n=3: ratio=729/416 (closed-form)
+PASS gl-ratio p=3 m=2 n=4: ratio=59049/33280 (closed-form)
+PASS gl-ratio p=3 m=3 n=1: ratio=3/2 (exhaustive+closed-form)
+PASS gl-ratio p=3 m=3 n=2: ratio=27/16 (exhaustive+closed-form)
+PASS gl-ratio p=3 m=3 n=3: ratio=729/416 (closed-form)
+PASS gl-ratio p=3 m=3 n=4: ratio=59049/33280 (closed-form)
+PASS gl-ratio p=5 m=1 n=1: ratio=5/4 (exhaustive+closed-form)
+PASS gl-ratio p=5 m=1 n=2: ratio=125/96 (exhaustive+closed-form)
+PASS gl-ratio p=5 m=1 n=3: ratio=15625/11904 (closed-form)
+PASS gl-ratio p=5 m=1 n=4: ratio=9765625/7428096 (closed-form)
+PASS gl-ratio p=5 m=2 n=1: ratio=5/4 (exhaustive+closed-form)
+PASS gl-ratio p=5 m=2 n=2: ratio=125/96 (exhaustive+closed-form)
+PASS gl-ratio p=5 m=2 n=3: ratio=15625/11904 (closed-form)
+PASS gl-ratio p=5 m=2 n=4: ratio=9765625/7428096 (closed-form)
+PASS gl-ratio p=5 m=3 n=1: ratio=5/4 (exhaustive+closed-form)
+PASS gl-ratio p=5 m=3 n=2: ratio=125/96 (closed-form)
+PASS gl-ratio p=5 m=3 n=3: ratio=15625/11904 (closed-form)
+PASS gl-ratio p=5 m=3 n=4: ratio=9765625/7428096 (closed-form)
+PASS gl-ratio p=7 m=1 n=1: ratio=7/6 (exhaustive+closed-form)
+PASS gl-ratio p=7 m=1 n=2: ratio=343/288 (exhaustive+closed-form)
+PASS gl-ratio p=7 m=1 n=3: ratio=117649/98496 (closed-form)
+PASS gl-ratio p=7 m=1 n=4: ratio=282475249/236390400 (closed-form)
+PASS gl-ratio p=7 m=2 n=1: ratio=7/6 (exhaustive+closed-form)
+PASS gl-ratio p=7 m=2 n=2: ratio=343/288 (closed-form)
+PASS gl-ratio p=7 m=2 n=3: ratio=117649/98496 (closed-form)
+PASS gl-ratio p=7 m=2 n=4: ratio=282475249/236390400 (closed-form)
+PASS gl-ratio p=7 m=3 n=1: ratio=7/6 (exhaustive+closed-form)
+PASS gl-ratio p=7 m=3 n=2: ratio=343/288 (closed-form)
+PASS gl-ratio p=7 m=3 n=3: ratio=117649/98496 (closed-form)
+PASS gl-ratio p=7 m=3 n=4: ratio=282475249/236390400 (closed-form)
+PASS gl-ratio p=11 m=1 n=1: ratio=11/10 (exhaustive+closed-form)
+PASS gl-ratio p=11 m=1 n=2: ratio=1331/1200 (exhaustive+closed-form)
+PASS gl-ratio p=11 m=1 n=3: ratio=1771561/1596000 (closed-form)
+PASS gl-ratio p=11 m=1 n=4: ratio=25937424601/23365440000 (closed-form)
+PASS gl-ratio p=11 m=2 n=1: ratio=11/10 (exhaustive+closed-form)
+PASS gl-ratio p=11 m=2 n=2: ratio=1331/1200 (closed-form)
+PASS gl-ratio p=11 m=2 n=3: ratio=1771561/1596000 (closed-form)
+PASS gl-ratio p=11 m=2 n=4: ratio=25937424601/23365440000 (closed-form)
+PASS gl-ratio p=11 m=3 n=1: ratio=11/10 (exhaustive+closed-form)
+PASS gl-ratio p=11 m=3 n=2: ratio=1331/1200 (closed-form)
+PASS gl-ratio p=11 m=3 n=3: ratio=1771561/1596000 (closed-form)
+PASS gl-ratio p=11 m=3 n=4: ratio=25937424601/23365440000 (closed-form)
+""",
+    "orbit": """\
+PASS orbit p=2 m=1 e=[0, 0]: class size 6, 6 pairs per member
+PASS orbit p=3 m=1 e=[0, 0]: class size 48, 48 pairs per member
+PASS orbit p=2 m=2 e=[0, 1]: class size 72, 128 pairs per member
+""",
+}
+
+
+@pytest.mark.parametrize("suite", list(VERIFY_DEFAULT_OUT))
+def test_verify_default_output_is_pinned(suite, capsys):
+    assert main(["verify", "--suite", suite]) == 0
+    assert capsys.readouterr().out == VERIFY_DEFAULT_OUT[suite]
+
+
 @pytest.mark.parametrize("suite", ["theorem1", "gl-ratio", "orbit"])
 def test_verify_suites_pass_with_asserts_stripped(suite):
     # python -O drops assert statements; the checks guarding results must survive
@@ -344,10 +423,10 @@ def test_a_box_too_large_to_print_is_refused_with_exit_2(capsys, argv):
 
 
 def _plant_gl_order_off_by_one(monkeypatch):
-    import padicsmith.density as density
+    import padicsmith.verify as verify
 
-    real = density.gl_order
-    monkeypatch.setattr(density, "gl_order", lambda p, m, n: real(p, m, n) + 1)
+    real = verify.gl_order
+    monkeypatch.setattr(verify, "gl_order", lambda p, m, n: real(p, m, n) + 1)
 
 
 def test_verify_gl_ratio_reports_a_count_mismatch(monkeypatch, capsys):
@@ -563,7 +642,8 @@ def test_cold_analyze_imports_neither_density_nor_transform(tmp_path):
         "import sys\n"
         "from padicsmith.cli import main\n"
         f"status = main(['analyze', {str(matrix)!r}, '-p', '3'])\n"
-        "print(status, [m for m in ('padicsmith.density', 'padicsmith.transform') if m in sys.modules])\n"
+        "loaded = [m for m in ('padicsmith.density', 'padicsmith.transform', 'padicsmith.verify') if m in sys.modules]\n"
+        "print(status, loaded)\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
@@ -614,3 +694,14 @@ def test_verify_unknown_suite_is_usage_error(capsys):
         main(["verify", "--suite", "nope"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+def test_each_suite_takes_exactly_the_flags_it_reads():
+    # cmd_verify passes the flags given as keyword arguments, so the table
+    # and the suites' signatures must name the same flags
+    import padicsmith.cli as cli
+    import padicsmith.verify as verify
+
+    for suite, reads in cli.VERIFY_SUITES.items():
+        params = inspect.signature(getattr(verify, suite.replace("-", "_"))).parameters
+        assert tuple(params) == reads, suite

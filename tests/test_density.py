@@ -18,15 +18,13 @@ from padicsmith.density import (
     PartitionCell,
     classify_residue_matrix,
     enumerate_density,
-    gl_count,
-    gl_order,
-    orbit_stabilizer_check,
     round_half_up_2dec,
 )
 from padicsmith.exact import BudgetExceededError, IntMatrix, UnsupportedSizeError, det, rem_pm, val_p
 from padicsmith.kernel import _valuation_table
 from padicsmith.newton import EigenvalueValuations
 from padicsmith.smith import local_profile, smith_form
+from padicsmith.verify import gl_order, gl_ratio, orbit_stabilizer_check
 
 from oracles import hodge_vertex_predicates
 
@@ -701,6 +699,22 @@ def test_binary_n3_cell_with_three_digit_lifts():
     )
 
 
+def test_n3_cell_over_five_residues():
+    # the only n = 3 box over q >= 5 residues pinned here: it classifies
+    # 339725 representatives, some 0.25 s serially.  The digest is taken
+    # as in test_binary_n3_cell_with_three_digit_lifts.
+    row = enumerate_density(5, 1, 3)
+    assert row.csv_row() == "5,1,3,64.11,95.37,60.12,1953125,1252163,1862693"
+    assert len(row.partitions) == 8
+    canon = repr(sorted((key, cell.size, cell.char_count) for key, cell in row.partitions.items()))
+    assert hashlib.sha256(canon.encode()).hexdigest() == (
+        "6e77f1496af6a53bb48546abc9617a403231f41fd475afafe35affdc39127da4"
+    )
+    # the unit class is GL_3(F_5), of order (5^3 - 1)(5^3 - 5)(5^3 - 25)
+    assert row.partitions[(1, 1, 1)].size == 124 * 120 * 100
+    assert sum(cell.size for cell in row.partitions.values()) == 5**9
+
+
 def test_gl_order_closed_form():
     assert gl_order(2, 1, 2) == 6
     assert gl_order(2, 2, 2) == 96
@@ -714,27 +728,21 @@ def test_gl_count_cross_checks_exhaustively():
         units = sum(
             1 for rows in product(product(range(p**m), repeat=n), repeat=n) if det(rows) % p
         )
-        assert units == gl_order(p, m, n) == gl_count(p, m, n).order
-    rep = gl_count(2, 2, 2)
-    assert rep.order == 96
-    assert rep.exhaustive_count == 96
-    assert rep.exhaustive_checked and rep.ok
-    assert rep.ratio == Fraction(256, 96)
-    big = gl_count(11, 3, 4)
-    assert big.exhaustive_count is None
-    assert not big.exhaustive_checked and big.ok
-    assert big.ratio < 4
+        assert units == gl_order(p, m, n)
+    # the gl-ratio suite counts the unit class of each box within
+    # GL_EXHAUSTIVE_BUDGET and holds it to the closed form
+    assert gl_ratio(p=2, m=2, n=2)[-1] == (True, "gl-ratio p=2 m=2 n=2: ratio=8/3 (exhaustive+closed-form)")
+    # 11^48 matrices are past it: the ratio alone is checked
+    ratio = Fraction(11**48, gl_order(11, 3, 4))
+    assert ratio < 4
+    assert gl_ratio(p=11, m=3, n=4)[-1] == (True, f"gl-ratio p=11 m=3 n=4: ratio={ratio} (closed-form)")
 
 
 def test_orbit_stabilizer_small_cells():
-    rep = orbit_stabilizer_check(2, 1, (0, 0))
-    assert rep.ok
-    assert rep.class_size == 6
-    assert rep.pair_count_per_member == 6
-
-    shifted = orbit_stabilizer_check(2, 2, (0, 1))
-    assert shifted.ok
-    assert shifted.class_size == 72
+    assert orbit_stabilizer_check(2, 1, (0, 0)) == (6, 6, True)
+    class_size, _, ok = orbit_stabilizer_check(2, 2, (0, 1))
+    assert ok
+    assert class_size == 72
 
 
 def test_orbit_stabilizer_rejects_bad_profiles():
@@ -757,7 +765,7 @@ def test_orbit_stabilizer_refuses_a_pair_space_over_budget(monkeypatch):
         # (2^1)^(2 * 4) = 256 pairs
         with pytest.raises(BudgetExceededError, match=r"pair space \(p\^m\)\^\(2 n\^2\) = 256 exceeds budget 255"):
             orbit_stabilizer_check(2, 1, (0, 0), budget=255)
-    assert orbit_stabilizer_check(2, 1, (0, 0), budget=256).ok
+    assert orbit_stabilizer_check(2, 1, (0, 0), budget=256)[2]
 
 
 def test_orbit_stabilizer_agrees_with_a_profile_scan():
@@ -773,10 +781,10 @@ def test_orbit_stabilizer_agrees_with_a_profile_scan():
         members = {M for M in box if local_profile(M, p).exponents == exponents}
         scaled = [L @ IntMatrix.from_rows(S) for L in box]
         hits = Counter(rem_pm(LS @ R, p, m) for LS in scaled for R in box)
-        rep = orbit_stabilizer_check(p, m, exponents)
-        assert rep.class_size == len(members)
-        assert rep.ok
-        assert {hits[M] for M in members} == {rep.pair_count_per_member}
+        class_size, pair_count_per_member, ok = orbit_stabilizer_check(p, m, exponents)
+        assert class_size == len(members)
+        assert ok
+        assert {hits[M] for M in members} == {pair_count_per_member}
 
 
 def test_min_over_single_cell():

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -103,6 +104,16 @@ def test_success_rate_matches_the_sampler():
         assert single_attempt_success_rate(2, 11, 11, trials=a, seed=seed).successes == 1
         if a > 1:
             assert single_attempt_success_rate(2, 11, 11, trials=a - 1, seed=seed).successes == 0
+
+
+def test_success_rate_draws_its_matrix_apart_from_the_attempts():
+    # A and the attempts used to share Random(seed), so at bound = p the
+    # first U drawn was A itself, on every seed
+    same = 0
+    for seed in range(100):
+        A = transform._random_unit_matrix(3, 101, seed)
+        same += A == transform._random_matrix(random.Random(seed), 3, 101)
+    assert same == 0
 
 
 def test_success_rate_refusals():
